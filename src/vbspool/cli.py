@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Thin wrappers over the library: `blocking`, `sweep`, `simulate`, `limit`,
-`dimension`, and `oracle`. Exit codes: 0 success, 1 domain error, 2 usage
-error. Every emitted file or record echoes the parameters that produced
-it, so figures can be regenerated from the artifact alone.
+`dimension`, and `oracle`. Exit codes: 0 success, 1 domain error (or, for
+`oracle`, engines that disagree), 2 usage error. Every emitted file or
+record echoes the parameters that produced it, so figures can be
+regenerated from the artifact alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .planner import (
 from .simulator import SimConfig, simulate
 
 OUTDIR_ENV = "VBSPOOL_OUTDIR"
+# largest relative deviation between the oracle and the recursion that
+# `oracle` accepts
+ORACLE_TOLERANCE = 1e-9
 
 
 def _sig12(x: float) -> float:
@@ -244,17 +248,25 @@ def cmd_oracle(args) -> int:
     if args.dump_edges:
         with open(args.dump_edges, "w") as f:
             dump_edges(build_generator(config), f)
+    deviation = max(deviations)
     _emit(
         {
             "p_radio": direct.p_radio,
             "p_comp": direct.p_comp,
             "p_total": direct.p_total,
-            "max_relative_deviation": max(deviations),
+            "max_relative_deviation": deviation,
         },
         _pool_params(config),
         args.format,
         args.output,
     )
+    if deviation > ORACLE_TOLERANCE:
+        print(
+            f"error: oracle and recursion disagree: max relative deviation "
+            f"{deviation:.3g} > {ORACLE_TOLERANCE:g}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

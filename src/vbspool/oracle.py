@@ -1,10 +1,17 @@
 """Brute-force ground truth for small instances.
 
 Enumerates the full state space, builds the transition-rate list, solves
-the global balance equations by dense linear algebra, and computes the
+the global balance equations by GTH state reduction, and computes the
 blocking probabilities as direct sums over blocking states. Everything
 here is deliberately independent of the recursive solver so the two can
 check each other.
+
+Every transition moves the total occupancy (the level) by exactly one,
+so with states ordered by level the generator is block-tridiagonal. The
+solve eliminates states level by level and touches only the two levels a
+state is still coupled to: the subtraction-free state reduction of
+Grassmann, Taksar & Heyman (Oper. Res. 33, 1985) applied as linear level
+reduction (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16, 1984).
 """
 
 from __future__ import annotations
@@ -83,32 +90,58 @@ def build_generator(
 
 
 def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
-    """Unique pi with pi @ Q = 0 and sum(pi) = 1, by dense direct
-    elimination in GTH (state-reduction) form.
+    """Unique pi with pi @ Q = 0 and sum(pi) = 1, by direct elimination
+    in GTH (state-reduction) form, level by level.
 
     GTH uses only additions and multiplications of non-negative rates,
     so even stationary probabilities near the underflow threshold keep
     full relative accuracy; a naive solve with a normalization row loses
-    small components to absolute rounding. The result is stored on the
-    chain and returned.
+    small components to absolute rounding.
+
+    States are eliminated in decreasing level (total occupancy), within
+    a level in decreasing lexicographic order. When state k of level L
+    is eliminated every higher level is already gone, so k is coupled
+    only to the remaining states of levels L-1 and L: each rank-one
+    update and each back-substitution dot product is confined to the
+    window [start of level L-1, k), and everything outside it is an
+    exact structural zero. The arithmetic on the window is that of the
+    dense elimination. Raises ValueError if a rate entry does not move
+    the level by exactly one, since the window depends on it.
+
+    The level order is internal: pi is returned, and stored on the
+    chain, in the order of chain.states.
     """
     n = len(chain.states)
+    levels = np.array([s.total for s in chain.states])
+    entries = np.array(chain.rate_entries, dtype=float).reshape(-1, 3)
+    src, dst = entries[:, 0].astype(int), entries[:, 1].astype(int)
+    if np.any(np.abs(levels[dst] - levels[src]) != 1):
+        raise ValueError("a rate entry does not move the level by exactly one")
+    # order[p] is the state at position p; the sort is stable, so each
+    # level keeps the lexicographic order
+    order = np.argsort(levels, kind="stable")
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    level_start = np.searchsorted(levels[order], np.arange(levels.max() + 1))
+    # window[p]: first position of the level below the level of position p
+    window = level_start[np.maximum(levels[order] - 1, 0)]
     R = np.zeros((n, n))
-    for i, j, rate in chain.rate_entries:
-        R[i, j] += rate
-    # fold states away from the highest index down
+    np.add.at(R, (position[src], position[dst]), entries[:, 2])
+    # fold states away from the highest position down
     departure = np.empty(n)
     for k in range(n - 1, 0, -1):
-        s = R[k, :k].sum()
+        lo = window[k]
+        s = R[k, lo:k].sum()
         departure[k] = s
-        R[:k, :k] += np.outer(R[:k, k], R[k, :k]) / s
+        R[lo:k, lo:k] += np.outer(R[lo:k, k], R[k, lo:k]) / s
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):
-        pi[k] = (pi[:k] @ R[:k, k]) / departure[k]
+        lo = window[k]
+        pi[k] = (pi[lo:k] @ R[lo:k, k]) / departure[k]
     pi /= pi.sum()
-    chain.pi = pi
-    return pi
+    chain.pi = pi[position]
+    return chain.pi
 
 
 def blocking_direct(

@@ -10,6 +10,7 @@ which computational blocking takes over.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -32,7 +33,8 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     """Blocking curve over N for one (M, K, a, threshold), descending
-    from N = M*K, plus the derived planning quantities."""
+    from N = M*K, plus the derived planning quantities. limit_bounds is
+    None when a > K, where the large-pool bounds are meaningless."""
 
     m_vbs: int
     k_radio: int
@@ -41,7 +43,18 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
     n_min: int
     pooling_gain: float
-    limit_bounds: LimitBounds
+    limit_bounds: LimitBounds | None
+
+
+def _descend(m_vbs: int, k_radio: int, a: float, table: RecursionTable, stop: float):
+    """(N, report) for N = M*K downward, ending after the first report
+    whose p_total exceeds `stop`."""
+    traffic = TrafficModel.from_load(a)
+    for n in range(m_vbs * k_radio, -1, -1):
+        report = compute_blocking(PoolConfig(m_vbs, k_radio, n, traffic), table)
+        yield n, report
+        if report.p_total > stop:
+            return
 
 
 def dimension_pool(
@@ -61,13 +74,11 @@ def dimension_pool(
     k_radio = dimension_radio(a, p_threshold)
     if table is None:
         table = get_table(k_radio, a)
-    traffic = TrafficModel.from_load(a)
     nk = m_vbs * k_radio
     points: list[SweepPoint] = []
     n_min = nk
-    for n in range(nk, -1, -1):
-        config = PoolConfig(m_vbs, k_radio, n, traffic)
-        report = compute_blocking(config, table)
+    stop = math.inf if full_descent else ceiling
+    for n, report in _descend(m_vbs, k_radio, a, table, stop):
         points.append(
             SweepPoint(
                 n_comp=n,
@@ -79,8 +90,6 @@ def dimension_pool(
         )
         if report.p_total <= p_threshold:
             n_min = n
-        if not full_descent and report.p_total > ceiling:
-            break
     return SweepResult(
         m_vbs=m_vbs,
         k_radio=k_radio,
@@ -89,7 +98,9 @@ def dimension_pool(
         points=tuple(points),
         n_min=n_min,
         pooling_gain=1.0 - n_min / nk,
-        limit_bounds=large_pool_limit(k_radio, a, p_threshold),
+        limit_bounds=(
+            large_pool_limit(k_radio, a, p_threshold) if a <= k_radio else None
+        ),
     )
 
 
@@ -108,15 +119,22 @@ def gain_vs_pool_size(
     m_list: list[int], a: float, p_threshold: float
 ) -> list[tuple[int, int, float, float]]:
     """(M, n_min, normalized n_min, pooling_gain) per pool size, sharing
-    one recursion table across all M."""
+    one recursion table across all M.
+
+    The same descent as dimension_pool, but only n_min is kept: no curve
+    of SweepPoints is built, so a long sweep leaves no objects behind for
+    the garbage collector to promote and scan."""
     k_radio = dimension_radio(a, p_threshold)
     table = get_table(k_radio, a)
     rows = []
     for m in m_list:
-        sweep = dimension_pool(m, a, p_threshold, table=table)
-        rows.append(
-            (m, sweep.n_min, sweep.n_min / (m * k_radio), sweep.pooling_gain)
+        nk = m * k_radio
+        n_min = min(
+            (n for n, report in _descend(m, k_radio, a, table, DEFAULT_CEILING)
+             if report.p_total <= p_threshold),
+            default=nk,
         )
+        rows.append((m, n_min, n_min / nk, 1.0 - n_min / nk))
     return rows
 
 
@@ -138,7 +156,9 @@ def sweep_to_csv(sweep: SweepResult, out: IO[str], metadata: str = ""):
 
 
 def sweep_summary(sweep: SweepResult) -> dict:
-    """JSON-ready summary with the planning quantities."""
+    """JSON-ready summary with the planning quantities; the limit
+    bounds are None when the sweep has none."""
+    bounds = sweep.limit_bounds
     return {
         "m": sweep.m_vbs,
         "k": sweep.k_radio,
@@ -148,8 +168,8 @@ def sweep_summary(sweep: SweepResult) -> dict:
         "normalized_n_min": sweep.n_min / (sweep.m_vbs * sweep.k_radio),
         "knee": knee_point(sweep),
         "pooling_gain": sweep.pooling_gain,
-        "limit_lower": sweep.limit_bounds.lower,
-        "limit_upper": sweep.limit_bounds.upper,
+        "limit_lower": None if bounds is None else bounds.lower,
+        "limit_upper": None if bounds is None else bounds.upper,
         "p_total_at_full": erlang_b(sweep.k_radio, sweep.a),
     }
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .model import Outcome, PoolConfig
 
@@ -141,8 +140,12 @@ def simulate(sim: SimConfig) -> SimEstimate:
     data = np.asarray(reps)
     means = data.mean(axis=0)
     if sim.replications > 1:
+        # scipy.stats costs about a second to import; stdtrit is the same
+        # Student-t quantile without it
+        from scipy.special import stdtrit
+
         sem = data.std(axis=0, ddof=1) / np.sqrt(sim.replications)
-        tq = stats.t.ppf(0.975, sim.replications - 1)
+        tq = stdtrit(sim.replications - 1, 0.975)
         half = tuple(float(x) for x in tq * sem)
     else:
         half = (float("nan"),) * 3

@@ -156,6 +156,19 @@ class TestOracleCommand:
         values = dict(line.split(" = ") for line in out.strip().splitlines())
         assert float(values["max_relative_deviation"]) < 1e-12
 
+    def test_disagreement_exits_one(self, capsys):
+        # the recursion underflows to p_comp = 1.0; the exact value is
+        # 0.9990005
+        code, out, err = run(
+            capsys, "oracle", "--m", "2", "--k", "30", "--n", "2", "--a", "1000"
+        )
+        assert code == 1
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert float(values["p_comp"]) == pytest.approx(0.9990005, rel=1e-6)
+        assert float(values["max_relative_deviation"]) > 1e-9
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_edge_dump(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"
         code, _, _ = run(
@@ -184,6 +197,20 @@ class TestSweepCommand:
             next(tmp_path.glob("sweep_summary_*.json")).read_text()
         )
         assert summary["sweeps"][0]["m"] == 2
+
+    def test_loose_threshold_reports_null_limits(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys,
+            "sweep", "--m", "4", "--a", "17.8", "--pth", "0.5",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        summary = json.loads(
+            next(tmp_path.glob("sweep_summary_*.json")).read_text()
+        )
+        row = summary["sweeps"][0]
+        assert row["k"] == 10
+        assert row["limit_lower"] is None and row["limit_upper"] is None
 
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VBSPOOL_OUTDIR", str(tmp_path))

@@ -7,6 +7,7 @@ from vbspool.analytic import compute_blocking, stationary_probability
 from vbspool.erlang import erlang_b
 from vbspool.model import PoolConfig, StateVector, TrafficModel
 from vbspool.oracle import (
+    EnumeratedChain,
     blocking_direct,
     build_generator,
     dump_edges,
@@ -115,6 +116,56 @@ class TestStationary:
             assert p == pytest.approx(
                 stationary_probability(cfg, s), abs=1e-10, rel=1e-10
             )
+
+
+def dense_gth(chain):
+    """Reference: GTH elimination on the full dense rate matrix, states in
+    the chain's own order, folded from the highest index down."""
+    n = len(chain.states)
+    R = np.zeros((n, n))
+    for i, j, rate in chain.rate_entries:
+        R[i, j] += rate
+    departure = np.empty(n)
+    for k in range(n - 1, 0, -1):
+        s = R[k, :k].sum()
+        departure[k] = s
+        R[:k, :k] += np.outer(R[:k, k], R[k, :k]) / s
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = (pi[:k] @ R[:k, k]) / departure[k]
+    return pi / pi.sum()
+
+
+class TestLevelOrderedSolve:
+    @pytest.mark.parametrize(
+        "m, k, n, a",
+        [
+            (4, 5, 20, 3.0),
+            (2, 30, 45, 20.0),  # smallest pi about 5e-18
+            (3, 6, 10, 30.0),  # overloaded
+            (5, 3, 6, 0.05),  # light
+            (2, 3, 0, 1.0),  # N = 0: the one-state chain
+        ],
+    )
+    def test_matches_dense_gth_statewise(self, m, k, n, a):
+        chain = build_generator(pool(m, k, n, a=a))
+        want = dense_gth(chain)
+        pi = solve_stationary(chain)
+        assert chain.pi is pi
+        assert pi.shape == want.shape
+        assert np.all(np.abs(pi - want) <= 1e-14 * want)
+
+    def test_two_level_jump_is_refused(self):
+        cfg = pool(1, 2, 2)
+        states = enumerate_states(cfg)
+        chain = EnumeratedChain(
+            config=cfg,
+            states=states,
+            rate_entries=[(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 1.0)],
+        )
+        with pytest.raises(ValueError, match="level"):
+            solve_stationary(chain)
 
 
 class TestBlockingDirect:

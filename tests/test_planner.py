@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 
@@ -124,6 +125,36 @@ class TestGainVsPoolSize:
             gains = [r[3] for r in rows]
             assert all(x <= y + 1e-12 for x, y in zip(gains, gains[1:]))
 
+    def test_rows_match_dimension_pool(self):
+        # 1.0/0.5 dimensions K = 1 < a, the regime without limit bounds
+        for a, pth in [(17.8, 1e-2), (8.0, 1e-3), (17.8, 0.5), (1.0, 0.5)]:
+            pools = [1, 2, 5, 16, 40]
+            want = []
+            for m in pools:
+                s = dimension_pool(m, a, pth)
+                want.append((m, s.n_min, s.n_min / (m * s.k_radio), s.pooling_gain))
+            assert gain_vs_pool_size(pools, a, pth) == want
+
+    def test_study_runs_no_garbage_collection(self):
+        # a study keeps no per-point objects, so however long its sweeps
+        # it never fills the youngest generation; a collection there can
+        # promote into, and trigger, a scan of the whole heap
+        pools = [2**i for i in range(1, 9)]
+        gain_vs_pool_size(pools, 19.3, 1e-2)  # table built outside the count
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            gain_vs_pool_size(pools, 19.3, 1e-2)
+        finally:
+            gc.callbacks.remove(count)
+        assert runs == []
+
     def test_normalized_n_min_above_asymptote(self):
         k = dimension_radio(17.8, 1e-2)
         floor = asymptotic_utilization(k, 17.8)
@@ -163,6 +194,19 @@ class TestSerialization:
         assert summary["n_min"] == sweep.n_min
         assert summary["knee"] == knee_point(sweep)
         assert summary["limit_lower"] <= summary["limit_upper"]
+
+    def test_loose_threshold_has_no_limit_bounds(self):
+        # K = 10 < a = 17.8: the large-pool bounds do not exist, but the
+        # sweep itself is well defined
+        sweep = dimension_pool(4, 17.8, 0.5)
+        assert sweep.k_radio == 10
+        assert sweep.limit_bounds is None
+        p_total = {pt.n_comp: pt.p_total for pt in sweep.points}
+        assert p_total[sweep.n_min] <= 0.5 < p_total[sweep.n_min - 1]
+        summary = sweep_summary(sweep)
+        assert summary["limit_lower"] is None
+        assert summary["limit_upper"] is None
+        assert json.loads(json.dumps(summary))["n_min"] == sweep.n_min
 
     def test_json_dump_parses(self):
         sweeps = [dimension_pool(m, 3.0, 1e-2) for m in (2, 4)]

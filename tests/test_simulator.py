@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import vbspool
 from vbspool.erlang import erlang_b
 from vbspool.model import (
     Outcome,
@@ -85,6 +91,15 @@ class TestSimulate:
         )
         assert simulate(slow).per_replication == simulate(fast).per_replication
 
+    def test_ci_is_student_t_over_replications(self):
+        sim = SimConfig(
+            pool=pool(3, 2, 4), horizon_sessions=5000, replications=4, seed=3
+        )
+        est = simulate(sim)
+        data = np.asarray(est.per_replication)
+        sem = data.std(axis=0, ddof=1) / np.sqrt(4)
+        assert est.ci_halfwidth == tuple(stats.t.ppf(0.975, 3) * sem)
+
     def test_single_replication_has_no_ci(self):
         sim = SimConfig(pool=pool(1, 1, 1), horizon_sessions=1000, seed=1)
         est = simulate(sim)
@@ -166,3 +181,18 @@ class TestTrace:
             firsts.append(events[0][0])
         result = stats.kstest(firsts, "expon", args=(0, 1 / (m * lam)))
         assert result.pvalue > 1e-3
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import, and every CLI command
+    # would pay it
+    src = str(Path(vbspool.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vbspool; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
