@@ -1,46 +1,9 @@
-"""Blocking analysis and pooling-gain planning for virtual base station pools."""
+"""Blocking analysis and pooling-gain planning for virtual base station pools.
 
-from .analytic import (
-    BlockingReport,
-    RecursionTable,
-    c_value,
-    compute_blocking,
-    get_table,
-    r_value,
-    stationary_probability,
-)
-from .erlang import (
-    LimitBounds,
-    asymptotic_utilization,
-    dimension_radio,
-    erlang_b,
-    large_pool_limit,
-    truncated_poisson_mean,
-)
-from .model import (
-    Outcome,
-    PoolConfig,
-    StateVector,
-    TrafficModel,
-    admits,
-    classify_blocking,
-    parse_config,
-    state_space_size,
-)
-from .oracle import (
-    EnumeratedChain,
-    blocking_direct,
-    build_generator,
-    enumerate_states,
-    solve_stationary,
-)
-from .planner import (
-    SweepPoint,
-    SweepResult,
-    dimension_pool,
-    gain_vs_pool_size,
-    knee_point,
-)
-from .simulator import SimConfig, SimEstimate, simulate, simulate_trace
+The package re-exports nothing: the library is used by module path, as
+README's "Library" section lists.
+"""
+
+from . import analytic, erlang, model, oracle, planner, simulator  # noqa: F401
 
 __version__ = "0.1.0"

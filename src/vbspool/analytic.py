@@ -12,21 +12,10 @@ cancel exactly in every reported probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PoolConfig, StateVector
-
-
-@dataclass(frozen=True)
-class BlockingReport:
-    """Radio, computational, and total session blocking probabilities."""
-
-    p_radio: float
-    p_comp: float
-    p_total: float
-    underflow: bool = False
+from .model import BlockingReport, PoolConfig, StateVector
 
 
 class RecursionTable:
@@ -42,26 +31,22 @@ class RecursionTable:
     def __init__(self, k_radio: int, a: float):
         if k_radio < 1:
             raise ValueError(f"k_radio must be >= 1, got {k_radio}")
-        if not a > 0:
-            raise ValueError(f"offered load must be positive, got {a}")
+        if not 0 < a < math.inf:
+            raise ValueError(f"offered load must be positive and finite, got {a}")
         self.k_radio = k_radio
         self.a = a
+        # p_i = e^{-a} a^i / i! for i = 0..K
         p = np.empty(k_radio + 1)
         p[0] = math.exp(-a)
         for i in range(1, k_radio + 1):
             p[i] = p[i - 1] * a / i
-        self._p = p
+        self.poisson_pmf = p
         self._c: list[np.ndarray | None] = [None, p]
         self._r: list[np.ndarray | None] = [None, np.concatenate(([0.0], np.cumsum(p)))]
 
-    @property
-    def poisson_pmf(self) -> np.ndarray:
-        """p_i = e^{-a} a^i / i! for i = 0..K."""
-        return self._p
-
     def _ensure(self, m: int):
         while len(self._c) <= m:
-            col = np.convolve(self._c[-1], self._p)
+            col = np.convolve(self._c[-1], self.poisson_pmf)
             self._c.append(col)
             self._r.append(np.concatenate(([0.0], np.cumsum(col))))
 
@@ -100,14 +85,6 @@ def get_table(k_radio: int, a: float) -> RecursionTable:
     return table
 
 
-def c_value(n: int, m: int, k_radio: int, a: float) -> float:
-    return get_table(k_radio, a).c(n, m)
-
-
-def r_value(n: int, m: int, k_radio: int, a: float) -> float:
-    return get_table(k_radio, a).r(n, m)
-
-
 def compute_blocking(
     config: PoolConfig, table: RecursionTable | None = None
 ) -> BlockingReport:
@@ -124,8 +101,9 @@ def compute_blocking(
 
     denom = table.r(n + 1, m)
     if denom == 0.0:
-        # The normalized weight of the reachable states underflowed:
-        # the pool is so overloaded that blocking is 1 to within 1e-300.
+        # The normalized weight of the reachable states underflowed, so
+        # the ratios below are 0/0: the flagged placeholder is not the
+        # model's answer (exact p_comp at M=60, K=28, N=40, a=17.8: 0.962583).
         return BlockingReport(p_radio=0.0, p_comp=1.0, p_total=1.0, underflow=True)
 
     p_comp = table.c(n, m) / denom
@@ -139,17 +117,12 @@ def compute_blocking(
     )
 
 
-def stationary_probability(
-    config: PoolConfig,
-    state: StateVector,
-    table: RecursionTable | None = None,
-) -> float:
+def stationary_probability(config: PoolConfig, state: StateVector) -> float:
     """Product-form stationary probability of one state."""
     if not state.is_valid(config):
         raise ValueError(f"state {state.occupancy} not in state space")
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
-    if table is None:
-        table = get_table(k, a)
+    table = get_table(k, a)
     pmf = table.poisson_pmf
     weight = 1.0
     for km in state.occupancy:

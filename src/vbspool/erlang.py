@@ -3,6 +3,7 @@ dimensioning, and the large-pool utilization limit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -14,8 +15,8 @@ def erlang_b(k_radio: int, a: float) -> float:
     """
     if k_radio < 0:
         raise ValueError(f"k_radio must be >= 0, got {k_radio}")
-    if not a > 0:
-        raise ValueError(f"offered load must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"offered load must be positive and finite, got {a}")
     b = 1.0
     for i in range(1, k_radio + 1):
         b = a * b / (i + a * b)
@@ -31,8 +32,8 @@ def truncated_poisson_mean(k_radio: int, a: float) -> float:
 
 def dimension_radio(a: float, p_threshold: float) -> int:
     """Smallest K with erlang_b(K, a) <= p_threshold."""
-    if not a > 0:
-        raise ValueError(f"offered load must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"offered load must be positive and finite, got {a}")
     if not 0 < p_threshold < 1:
         raise ValueError(f"threshold must be in (0,1), got {p_threshold}")
     b = 1.0
@@ -68,6 +69,8 @@ def large_pool_limit(k_radio: int, a: float, p_threshold: float) -> LimitBounds:
     """
     if k_radio < 1:
         raise ValueError(f"k_radio must be >= 1, got {k_radio}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"offered load must be positive and finite, got {a}")
     if not 0 < p_threshold < 1:
         raise ValueError(f"threshold must be in (0,1), got {p_threshold}")
     return LimitBounds(

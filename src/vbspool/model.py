@@ -10,6 +10,7 @@ VBS has a free r-server and the pool has a free c-server.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -29,10 +30,14 @@ class TrafficModel:
     mu: float
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError(f"arrival rate must be positive, got {self.lam}")
-        if not (self.mu > 0):
-            raise ValueError(f"service rate must be positive, got {self.mu}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(
+                f"arrival rate must be positive and finite, got {self.lam}"
+            )
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"service rate must be positive and finite, got {self.mu}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"offered load must be positive and finite, got {self.a}")
 
     @property
     def a(self) -> float:
@@ -74,19 +79,27 @@ class PoolConfig:
 
 
 @dataclass(frozen=True)
+class BlockingReport:
+    """Radio, computational, and total session blocking probabilities.
+
+    underflow is set when the normalized weight of the reachable states
+    underflowed to zero, so the probabilities are not the model's."""
+
+    p_radio: float
+    p_comp: float
+    p_total: float
+    underflow: bool = False
+
+
+@dataclass(frozen=True)
 class StateVector:
-    """Occupancy vector k = (k_1, ..., k_M) with cached total."""
+    """Occupancy vector k = (k_1, ..., k_M) with its total."""
 
     occupancy: tuple[int, ...]
-    total: int = field(default=-1)
+    total: int = field(init=False)
 
     def __post_init__(self):
-        if self.total < 0:
-            object.__setattr__(self, "total", sum(self.occupancy))
-        elif self.total != sum(self.occupancy):
-            raise ValueError(
-                f"cached total {self.total} != sum {sum(self.occupancy)}"
-            )
+        object.__setattr__(self, "total", sum(self.occupancy))
 
     def is_valid(self, config: PoolConfig) -> bool:
         """Membership in the constrained state space of config."""
@@ -140,18 +153,6 @@ def state_space_size(config: PoolConfig) -> int:
                     nxt[s + k] += w
         ways = nxt
     return sum(ways)
-
-
-def format_config(config: PoolConfig) -> str:
-    """Serialize to the plain-text key-value config format."""
-    t = config.traffic
-    return (
-        f"m = {config.m_vbs}\n"
-        f"k = {config.k_radio}\n"
-        f"n = {config.n_comp}\n"
-        f"lambda = {t.lam!r}\n"
-        f"mu = {t.mu!r}\n"
-    )
 
 
 def parse_config(text: str) -> PoolConfig:

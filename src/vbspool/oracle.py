@@ -21,36 +21,26 @@ from typing import IO
 
 import numpy as np
 
-from .analytic import BlockingReport
-from .model import PoolConfig, StateVector, admits, state_space_size
+from .model import BlockingReport, PoolConfig, StateVector, admits, state_space_size
 
-DEFAULT_STATE_CAP = 10**6
+STATE_CAP = 10**6
 
 
 @dataclass
 class EnumeratedChain:
-    """Explicit CTMC: states, sparse rate triples, stationary vector."""
+    """Explicit CTMC: states and sparse rate triples."""
 
     config: PoolConfig
     states: list[StateVector]
     rate_entries: list[tuple[int, int, float]]
-    pi: np.ndarray | None = None
-
-    def index_of(self, state: StateVector) -> int:
-        return self._index[state.occupancy]
-
-    def __post_init__(self):
-        self._index = {s.occupancy: i for i, s in enumerate(self.states)}
 
 
-def enumerate_states(
-    config: PoolConfig, cap: int = DEFAULT_STATE_CAP
-) -> list[StateVector]:
+def enumerate_states(config: PoolConfig) -> list[StateVector]:
     """All states with entries <= K and sum <= N, in lexicographic order."""
     size = state_space_size(config)
-    if size > cap:
+    if size > STATE_CAP:
         raise ValueError(
-            f"state space has {size} states, above the cap of {cap}"
+            f"state space has {size} states, above the cap of {STATE_CAP}"
         )
     K, N, M = config.k_radio, config.n_comp, config.m_vbs
     states: list[StateVector] = []
@@ -58,7 +48,7 @@ def enumerate_states(
 
     def extend(pos: int, used: int):
         if pos == M:
-            states.append(StateVector(tuple(prefix), total=used))
+            states.append(StateVector(tuple(prefix)))
             return
         for k in range(min(K, N - used) + 1):
             prefix[pos] = k
@@ -69,11 +59,9 @@ def enumerate_states(
     return states
 
 
-def build_generator(
-    config: PoolConfig, cap: int = DEFAULT_STATE_CAP
-) -> EnumeratedChain:
+def build_generator(config: PoolConfig) -> EnumeratedChain:
     """Transition rates: lambda per admissible arrival, k_m * mu per departure."""
-    states = enumerate_states(config, cap)
+    states = enumerate_states(config)
     index = {s.occupancy: i for i, s in enumerate(states)}
     lam, mu = config.traffic.lam, config.traffic.mu
     entries: list[tuple[int, int, float]] = []
@@ -108,8 +96,8 @@ def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
     dense elimination. Raises ValueError if a rate entry does not move
     the level by exactly one, since the window depends on it.
 
-    The level order is internal: pi is returned, and stored on the
-    chain, in the order of chain.states.
+    The level order is internal: pi is returned in the order of
+    chain.states.
     """
     n = len(chain.states)
     levels = np.array([s.total for s in chain.states])
@@ -140,19 +128,16 @@ def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
         lo = window[k]
         pi[k] = (pi[lo:k] @ R[lo:k, k]) / departure[k]
     pi /= pi.sum()
-    chain.pi = pi[position]
-    return chain.pi
+    return pi[position]
 
 
-def blocking_direct(
-    config: PoolConfig, cap: int = DEFAULT_STATE_CAP
-) -> BlockingReport:
+def blocking_direct(config: PoolConfig) -> BlockingReport:
     """Blocking probabilities as literal sums over the stationary vector.
 
     p_comp sums pi over states with total == N; p_radio averages, over
     VBSs, the pi-mass of states with that VBS radio-full and total < N.
     """
-    chain = build_generator(config, cap)
+    chain = build_generator(config)
     pi = solve_stationary(chain)
     K, N, M = config.k_radio, config.n_comp, config.m_vbs
     p_comp = 0.0

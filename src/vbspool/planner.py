@@ -9,7 +9,6 @@ which computational blocking takes over.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import IO
@@ -18,7 +17,8 @@ from .analytic import RecursionTable, compute_blocking, get_table
 from .erlang import LimitBounds, dimension_radio, erlang_b, large_pool_limit
 from .model import PoolConfig, TrafficModel
 
-DEFAULT_CEILING = 0.5
+# a sweep that is not a full descent stops after p_total passes this
+CEILING = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,19 @@ def dimension_pool(
     a: float,
     p_threshold: float,
     full_descent: bool = False,
-    ceiling: float = DEFAULT_CEILING,
-    table: RecursionTable | None = None,
 ) -> SweepResult:
     """Dimension K for the threshold, then sweep N from M*K downward.
 
-    Stops early once p_total exceeds `ceiling` unless full_descent is
+    Stops early once p_total exceeds CEILING unless full_descent is
     set. n_min is the smallest N still meeting the threshold and
     pooling_gain = 1 - n_min / (M*K).
     """
     k_radio = dimension_radio(a, p_threshold)
-    if table is None:
-        table = get_table(k_radio, a)
+    table = get_table(k_radio, a)
     nk = m_vbs * k_radio
     points: list[SweepPoint] = []
     n_min = nk
-    stop = math.inf if full_descent else ceiling
+    stop = math.inf if full_descent else CEILING
     for n, report in _descend(m_vbs, k_radio, a, table, stop):
         points.append(
             SweepPoint(
@@ -107,8 +104,6 @@ def dimension_pool(
 def knee_point(sweep: SweepResult) -> int:
     """Largest N at which computational blocking first exceeds radio
     blocking when descending from M*K; M*K if no crossover in the sweep."""
-    if len(sweep.points) < 2:
-        raise ValueError("sweep needs at least 2 points")
     for pt in sweep.points:
         if pt.p_comp > pt.p_radio:
             return pt.n_comp
@@ -130,7 +125,7 @@ def gain_vs_pool_size(
     for m in m_list:
         nk = m * k_radio
         n_min = min(
-            (n for n, report in _descend(m, k_radio, a, table, DEFAULT_CEILING)
+            (n for n, report in _descend(m, k_radio, a, table, CEILING)
              if report.p_total <= p_threshold),
             default=nk,
         )
@@ -172,8 +167,3 @@ def sweep_summary(sweep: SweepResult) -> dict:
         "limit_upper": None if bounds is None else bounds.upper,
         "p_total_at_full": erlang_b(sweep.k_radio, sweep.a),
     }
-
-
-def summary_to_json(sweeps: list[SweepResult], out: IO[str]):
-    json.dump([sweep_summary(s) for s in sweeps], out, indent=2)
-    out.write("\n")

@@ -5,9 +5,8 @@ import pytest
 
 from vbspool.analytic import (
     RecursionTable,
-    c_value,
     compute_blocking,
-    r_value,
+    get_table,
     stationary_probability,
 )
 from vbspool.erlang import erlang_b
@@ -38,43 +37,43 @@ def brute_r(n, m, k, a):
 
 class TestRecursionValues:
     def test_zero_level_is_empty_state(self):
-        assert c_value(0, 3, 2, 1.0) == pytest.approx(math.exp(-3), rel=1e-14)
+        assert get_table(2, 1.0).c(0, 3) == pytest.approx(math.exp(-3), rel=1e-14)
 
     def test_level_one_two_vbs(self):
         # states (1,0) and (0,1)
-        assert c_value(1, 2, 3, 1.0) == pytest.approx(
+        assert get_table(3, 1.0).c(1, 2) == pytest.approx(
             2 * math.exp(-2), rel=1e-14
         )
 
     def test_top_level_single_state(self):
         # only (3,3)
-        assert c_value(6, 2, 3, 1.0) == pytest.approx(
+        assert get_table(3, 1.0).c(6, 2) == pytest.approx(
             (1 / math.factorial(3)) ** 2 * math.exp(-2), rel=1e-14
         )
 
     def test_r_of_zero_is_empty_sum(self):
-        assert r_value(0, 2, 3, 1.0) == 0.0
-        assert r_value(0, 5, 2, 0.7) == 0.0
+        assert get_table(3, 1.0).r(0, 2) == 0.0
+        assert get_table(2, 0.7).r(0, 5) == 0.0
 
     def test_r_of_one_is_zero_state(self):
-        assert r_value(1, 2, 3, 1.0) == pytest.approx(
+        assert get_table(3, 1.0).r(1, 2) == pytest.approx(
             math.exp(-2), rel=1e-14
         )
 
     def test_r_above_box_is_full_mass(self):
         expect = sum(math.exp(-1) / math.factorial(i) for i in range(4)) ** 2
-        assert r_value(7, 2, 3, 1.0) == pytest.approx(expect, rel=1e-14)
+        assert get_table(3, 1.0).r(7, 2) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
     def test_matches_exhaustive_enumeration(self, m, k, a):
         for n in range(m * k + 1):
-            assert c_value(n, m, k, a) == pytest.approx(
+            assert get_table(k, a).c(n, m) == pytest.approx(
                 brute_c(n, m, k, a), rel=1e-12
             )
         for n in range(m * k + 2):
-            assert r_value(n, m, k, a) == pytest.approx(
+            assert get_table(k, a).r(n, m) == pytest.approx(
                 brute_r(n, m, k, a), rel=1e-12
             )
 
@@ -92,6 +91,11 @@ class TestRecursionValues:
             for n in range(m * 28 + 1):
                 assert 0.0 <= table.c(n, m) <= 1.0
                 assert 0.0 <= table.r(n, m) <= 1.0
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_load(self, a):
+        with pytest.raises(ValueError, match="offered load"):
+            RecursionTable(3, a)
 
     def test_argument_errors(self):
         table = RecursionTable(3, 1.0)

@@ -45,6 +45,17 @@ class TestBlocking:
             erlang_b(3, 1.0), rel=1e-11
         )
 
+    def test_underflow_exits_one(self, capsys):
+        # r(N+1, M) underflows to 0; the exact p_comp is 0.962583, not
+        # the placeholder 1
+        code, out, err = run(
+            capsys, "blocking", "--m", "60", "--k", "28", "--n", "40", "--a", "17.8"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "underflow" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_flags_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["blocking", "--m", "2", "--k", "3"])
@@ -212,6 +223,21 @@ class TestSweepCommand:
         assert row["k"] == 10
         assert row["limit_lower"] is None and row["limit_upper"] is None
 
+    def test_one_point_sweep_writes_summary(self, capsys, tmp_path):
+        # K = 8 puts p_total(N = M*K) = 0.586 above the ceiling: each
+        # sweep holds one point and its knee is M*K
+        code, _, _ = run(
+            capsys,
+            "sweep", "--m", "1", "--m", "4", "--a", "17.8", "--pth", "0.6",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        assert len(list(tmp_path.glob("sweep_m*.csv"))) == 2
+        summary = json.loads(
+            next(tmp_path.glob("sweep_summary_*.json")).read_text()
+        )
+        assert [row["knee"] for row in summary["sweeps"]] == [8, 32]
+
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VBSPOOL_OUTDIR", str(tmp_path))
         code, _, _ = run(capsys, "sweep", "--m", "1", "--a", "1", "--pth", "0.5")
@@ -235,6 +261,24 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blocking", "--m", "2", "--k", "3", "--n", "4", "--a", "inf"],
+            ["dimension", "--a", "inf", "--pth", "0.01"],
+            ["blocking", "--m", "2", "--k", "3", "--n", "4",
+             "--lambda", "1e300", "--mu", "1e-300"],
+            ["simulate", "--m", "2", "--k", "3", "--n", "4", "--a", "inf",
+             "--sessions", "100"],
+            ["limit", "--a", "-1", "--pth", "0.01", "--k", "3"],
+        ],
+    )
+    def test_bad_load_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "offered load" in err or "arrival rate" in err
 
     def test_unknown_command_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

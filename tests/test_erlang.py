@@ -61,6 +61,8 @@ class TestErlangB:
             erlang_b(-1, 1.0)
         with pytest.raises(ValueError):
             erlang_b(3, 0.0)
+        with pytest.raises(ValueError):
+            erlang_b(3, math.inf)
 
 
 class TestTruncatedPoissonMean:
@@ -109,6 +111,11 @@ class TestDimensionRadio:
         with pytest.raises(ValueError):
             dimension_radio(1.0, 1.0)
 
+    @pytest.mark.parametrize("a", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_load(self, a):
+        with pytest.raises(ValueError, match="offered load"):
+            dimension_radio(a, 0.01)
+
 
 class TestLargePoolLimit:
     def test_dimensioned_point(self):
@@ -124,6 +131,11 @@ class TestLargePoolLimit:
     def test_underdimensioned_pool_rejected(self):
         with pytest.raises(ValueError):
             large_pool_limit(10, 11.0, 0.1)
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_load(self, a):
+        with pytest.raises(ValueError, match="offered load"):
+            large_pool_limit(3, a, 0.01)
 
     def test_limit_bounds_validation(self):
         with pytest.raises(ValueError):

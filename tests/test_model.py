@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -9,7 +10,6 @@ from vbspool.model import (
     TrafficModel,
     admits,
     classify_blocking,
-    format_config,
     parse_config,
     state_space_size,
 )
@@ -28,7 +28,19 @@ class TestTrafficModel:
         t = TrafficModel.from_load(2.5)
         assert t.lam == 2.5 and t.mu == 1.0 and t.a == 2.5
 
-    @pytest.mark.parametrize("lam,mu", [(0, 1), (-1, 1), (1, 0), (1, -2)])
+    @pytest.mark.parametrize(
+        "lam,mu",
+        [
+            (0, 1),
+            (-1, 1),
+            (1, 0),
+            (1, -2),
+            (math.inf, 1),
+            (1, math.inf),
+            (1e300, 1e-300),  # a = lam/mu overflows
+            (1e-300, 1e300),  # a = lam/mu underflows
+        ],
+    )
     def test_rejects_nonpositive_rates(self, lam, mu):
         with pytest.raises(ValueError):
             TrafficModel(lam=lam, mu=mu)
@@ -50,10 +62,6 @@ class TestStateVector:
     def test_total_is_cached(self):
         s = StateVector((2, 1, 0))
         assert s.total == 3
-
-    def test_incoherent_cache_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector((2, 1), total=5)
 
     def test_validity(self):
         cfg = pool(2, 3, 4)
@@ -142,10 +150,6 @@ class TestStateSpaceSize:
 
 
 class TestConfigFormat:
-    def test_round_trip(self):
-        cfg = pool(2, 3, 4, a=1.5)
-        assert parse_config(format_config(cfg)) == cfg
-
     def test_offered_load_shorthand(self):
         cfg = parse_config("m = 2\nk = 3\nn = 4\na = 1.5\n")
         assert cfg.traffic == TrafficModel.from_load(1.5)

@@ -12,7 +12,6 @@ from vbspool.planner import (
     knee_point,
     sweep_summary,
     sweep_to_csv,
-    summary_to_json,
 )
 
 
@@ -98,20 +97,14 @@ class TestKneePoint:
         )
         assert knee_point(truncated) == full.m_vbs * full.k_radio
 
-    def test_needs_two_points(self):
-        sweep = dimension_pool(2, 1.0, 0.5)
-        short = SweepResult(
-            m_vbs=sweep.m_vbs,
-            k_radio=sweep.k_radio,
-            a=sweep.a,
-            p_threshold=sweep.p_threshold,
-            points=sweep.points[:1],
-            n_min=sweep.n_min,
-            pooling_gain=sweep.pooling_gain,
-            limit_bounds=sweep.limit_bounds,
-        )
-        with pytest.raises(ValueError):
-            knee_point(short)
+    def test_one_point_sweep_knee_is_full_provisioning(self):
+        # K = 8: p_total(N = M*K) = 0.586 is already above the ceiling,
+        # so the sweep stops after its first point
+        sweep = dimension_pool(4, 17.8, 0.6)
+        assert sweep.k_radio == 8
+        assert len(sweep.points) == 1
+        assert knee_point(sweep) == 32
+        assert sweep_summary(sweep)["knee"] == 32
 
 
 class TestGainVsPoolSize:
@@ -207,10 +200,3 @@ class TestSerialization:
         assert summary["limit_lower"] is None
         assert summary["limit_upper"] is None
         assert json.loads(json.dumps(summary))["n_min"] == sweep.n_min
-
-    def test_json_dump_parses(self):
-        sweeps = [dimension_pool(m, 3.0, 1e-2) for m in (2, 4)]
-        buf = io.StringIO()
-        summary_to_json(sweeps, buf)
-        data = json.loads(buf.getvalue())
-        assert [d["m"] for d in data] == [2, 4]
