@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,8 +39,10 @@ OUTDIR_ENV = "VBSPOOL_OUTDIR"
 ORACLE_TOLERANCE = 1e-9
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
+def _json_float(x: float) -> float | None:
+    """x to 12 significant digits. NaN marks an undefined value, such as
+    the half-width of a single replication; strict JSON writes it null."""
+    return None if math.isnan(x) else float(f"{x:.12g}")
 
 
 def _emit(result: dict, params: dict, fmt: str, output: str | None):
@@ -60,11 +63,11 @@ def _emit(result: dict, params: dict, fmt: str, output: str | None):
                 "version": __version__,
                 "params": params,
                 "result": {
-                    k: _sig12(v) if isinstance(v, float) else v
+                    k: _json_float(v) if isinstance(v, float) else v
                     for k, v in result.items()
                 },
             }
-            json.dump(record, out, indent=2)
+            json.dump(record, out, indent=2, allow_nan=False)
             out.write("\n")
         else:  # csv
             meta = " ".join(f"{k}={v}" for k, v in params.items())
@@ -84,6 +87,9 @@ def _emit(result: dict, params: dict, fmt: str, output: str | None):
 
 def _pool_from_args(args) -> PoolConfig:
     """Build a PoolConfig from --config plus flag overrides."""
+    if args.mu is not None and args.lam is None:
+        print("usage error: --mu needs --lambda", file=sys.stderr)
+        raise SystemExit(2)
     base = None
     if getattr(args, "config", None):
         base = parse_config(Path(args.config).read_text())
@@ -93,7 +99,9 @@ def _pool_from_args(args) -> PoolConfig:
     if args.a is not None:
         traffic = TrafficModel.from_load(args.a)
     elif args.lam is not None:
-        traffic = TrafficModel(lam=args.lam, mu=args.mu if args.mu else 1.0)
+        traffic = TrafficModel(
+            lam=args.lam, mu=args.mu if args.mu is not None else 1.0
+        )
     elif base is not None:
         traffic = base.traffic
     else:
@@ -178,6 +186,7 @@ def cmd_sweep(args) -> int:
             },
             f,
             indent=2,
+            allow_nan=False,
         )
         f.write("\n")
     print(f"wrote {summary_path}")
@@ -286,9 +295,10 @@ def _add_pool_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, help="number of VBSs")
     p.add_argument("--k", type=int, help="radio servers per VBS")
     p.add_argument("--n", type=int, help="computational servers in the pool")
-    p.add_argument("--a", type=float, help="offered load in Erlangs (= lambda/mu)")
-    p.add_argument("--lambda", dest="lam", type=float, help="arrival rate per VBS")
-    p.add_argument("--mu", type=float, help="service rate (default 1)")
+    load = p.add_mutually_exclusive_group()
+    load.add_argument("--a", type=float, help="offered load in Erlangs (= lambda/mu)")
+    load.add_argument("--lambda", dest="lam", type=float, help="arrival rate per VBS")
+    p.add_argument("--mu", type=float, help="service rate, only with --lambda (default 1)")
     p.add_argument("--config", help="key-value config file (flags override)")
 
 

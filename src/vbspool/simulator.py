@@ -1,29 +1,27 @@
-"""Event-driven Monte Carlo simulation of the pool.
+"""Monte Carlo simulation of the pool on its embedded jump chain.
 
-Estimates blocking probabilities by counting offered sessions (valid by
-PASTA), with a 95% confidence interval from across-replication variance.
-Replications draw their random streams from SeedSequence(seed).spawn, so
-runs are reproducible and replications are independent.
+Holding times are exponential, so the next transition depends only on
+the current state. Measured in mean holding times, arrivals come at rate
+M*a, uniform over the VBSs, and each of the T sessions in service leaves
+at rate 1. One uniform per event picks the transition, and the run
+never keeps a clock. Blocking is estimated by counting offered sessions
+(valid by PASTA), with a 95% confidence interval from across-replication
+variance. Only a trace sink needs times: simulate_trace draws the
+Exp(mu*(M*a + T)) holding time of every state it leaves. Replications
+draw their random streams from SeedSequence(seed).spawn, so runs are
+reproducible and replications are independent.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .model import Outcome, PoolConfig
+from .model import PoolConfig
 
-_ARRIVAL = 0
-_DEPARTURE = 1
-
-EVENT_NAMES = {
-    Outcome.ADMIT: "arrival_admitted",
-    Outcome.RADIO_BLOCK: "arrival_radio_blocked",
-    Outcome.COMPUTE_BLOCK: "arrival_compute_blocked",
-}
+_BATCH = 4096  # uniforms drawn from the generator at a time
 
 TraceSink = Callable[[float, str, int, int], None]
 
@@ -72,52 +70,45 @@ def _run_replication(
     sink: TraceSink | None = None,
 ) -> tuple[float, float, float]:
     """One independent run; returns (radio, comp, total) blocked fractions."""
-    M, K, N = pool.m_vbs, pool.k_radio, pool.n_comp
-    lam, mu = pool.traffic.lam, pool.traffic.mu
+    M, K, N, a = pool.m_vbs, pool.k_radio, pool.n_comp, pool.a
+    mu = pool.traffic.mu  # sets the trace clock only
+    arrival_rate = M * a
     occ = [0] * M
-    total = 0
-    seq = 0  # tie-break by insertion order
-    heap: list[tuple[float, int, int, int]] = []
-    for m in range(M):
-        heapq.heappush(heap, (rng.exponential(1.0 / lam), seq, _ARRIVAL, m))
-        seq += 1
-
-    offered = 0
-    n_radio = n_comp = 0
+    busy: list[int] = []  # the VBS of each session in service, unordered
+    t = 0.0
+    offered = n_radio = n_comp = 0
     while offered < horizon:
-        t, _, kind, m = heapq.heappop(heap)
-        if kind == _ARRIVAL:
-            offered += 1
-            # same rule as model.classify_blocking, inlined for the hot loop
-            if total == N:
-                outcome = Outcome.COMPUTE_BLOCK
-            elif occ[m] == K:
-                outcome = Outcome.RADIO_BLOCK
+        for u in rng.random(_BATCH).tolist():
+            T = len(busy)
+            x = u * (arrival_rate + T)
+            # min(): rounding can carry x / a to M or x - M*a to T
+            if x < arrival_rate:
+                m = min(int(x / a), M - 1)
+                offered += 1
+                # same rule as model.classify_blocking, inlined for the hot loop
+                if T == N:
+                    event = "arrival_compute_blocked"
+                    n_comp += offered > warmup
+                elif occ[m] == K:
+                    event = "arrival_radio_blocked"
+                    n_radio += offered > warmup
+                else:
+                    event = "arrival_admitted"
+                    occ[m] += 1
+                    busy.append(m)
             else:
-                outcome = Outcome.ADMIT
-            if offered > warmup:
-                if outcome is Outcome.RADIO_BLOCK:
-                    n_radio += 1
-                elif outcome is Outcome.COMPUTE_BLOCK:
-                    n_comp += 1
-            if outcome is Outcome.ADMIT:
-                occ[m] += 1
-                total += 1
-                heapq.heappush(
-                    heap, (t + rng.exponential(1.0 / mu), seq, _DEPARTURE, m)
-                )
-                seq += 1
-            heapq.heappush(
-                heap, (t + rng.exponential(1.0 / lam), seq, _ARRIVAL, m)
-            )
-            seq += 1
+                i = min(int(x - arrival_rate), T - 1)
+                m = busy[i]
+                busy[i] = busy[-1]
+                busy.pop()
+                occ[m] -= 1
+                event = "departure"
             if sink is not None:
-                sink(t, EVENT_NAMES[outcome], m + 1, total)
-        else:
-            occ[m] -= 1
-            total -= 1
-            if sink is not None:
-                sink(t, "departure", m + 1, total)
+                # the holding time of the state just left, T sessions in service
+                t += rng.standard_exponential() / (mu * (arrival_rate + T))
+                sink(t, event, m + 1, len(busy))
+            if offered == horizon:
+                break
 
     counted = horizon - warmup
     if counted == 0:

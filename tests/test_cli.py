@@ -98,6 +98,31 @@ class TestBlocking:
         assert code == 0
         assert "p_total = 0.5" in out
 
+    def test_load_and_lambda_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["blocking", "--m", "2", "--k", "3", "--n", "4",
+                  "--a", "5", "--lambda", "2"])
+        assert exc.value.code == 2
+
+    def test_mu_needs_lambda(self, capsys, tmp_path):
+        path = tmp_path / "pool.cfg"
+        path.write_text("m = 2\nk = 3\nn = 4\na = 1\n")
+        for traffic in (["--a", "5"], ["--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["blocking", "--m", "2", "--k", "3", "--n", "4",
+                      *traffic, "--mu", "2"])
+            assert exc.value.code == 2
+
+    def test_zero_service_rate_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "blocking", "--m", "2", "--k", "3", "--n", "4",
+            "--lambda", "1", "--mu", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "service rate" in err
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):
@@ -111,6 +136,22 @@ class TestSimulateCommand:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_single_replication_json_is_strict(self, capsys):
+        # one replication has no half-width; strict parsers reject NaN
+        code, out, _ = run(
+            capsys,
+            "simulate", "--m", "2", "--k", "3", "--n", "4", "--a", "1",
+            "--sessions", "1000", "--reps", "1", "--format", "json",
+        )
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        record = json.loads(out, parse_constant=reject)
+        assert code == 0
+        result = record["result"]
+        assert result["ci_radio"] is result["ci_comp"] is result["ci_total"] is None
 
     def test_estimate_brackets_erlang_b(self, capsys):
         code, out, _ = run(

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import vbspool
+from vbspool.analytic import compute_blocking
 from vbspool.erlang import erlang_b
 from vbspool.model import (
     Outcome,
@@ -16,7 +17,7 @@ from vbspool.model import (
     TrafficModel,
     classify_blocking,
 )
-from vbspool.simulator import SimConfig, simulate, simulate_trace
+from vbspool.simulator import SimConfig, _run_replication, simulate, simulate_trace
 
 
 def pool(m, k, n, a=1.0, lam=None, mu=1.0):
@@ -75,21 +76,20 @@ class TestSimulate:
             assert 0.0 <= rep[2] <= 1.0
 
     def test_time_scaling_invariance(self):
-        # scaling lambda and mu together rescales every clock identically,
-        # so the event order and labels are bit-identical per seed
-        slow = SimConfig(
-            pool=pool(2, 3, 4, lam=1.0, mu=1.0),
-            horizon_sessions=30_000,
-            replications=3,
-            seed=5,
-        )
-        fast = SimConfig(
-            pool=pool(2, 3, 4, lam=2.0, mu=2.0),
-            horizon_sessions=30_000,
-            replications=3,
-            seed=5,
-        )
-        assert simulate(slow).per_replication == simulate(fast).per_replication
+        # the jump chain reads only a = lam/mu, so any common scale of
+        # lambda and mu gives bit-identical results per seed
+        def run(lam, mu):
+            sim = SimConfig(
+                pool=pool(2, 3, 4, lam=lam, mu=mu),
+                horizon_sessions=30_000,
+                replications=3,
+                seed=5,
+            )
+            return simulate(sim).per_replication
+
+        slow = run(1.0, 1.0)
+        assert run(2.0, 2.0) == slow
+        assert run(0.3, 0.3) == slow
 
     def test_ci_is_student_t_over_replications(self):
         sim = SimConfig(
@@ -114,6 +114,35 @@ class TestSimulate:
         )
         est = simulate(sim)
         assert abs(est.p_total_hat - erlang_b(3, 2.0)) <= 3 * est.ci_halfwidth[2]
+
+    def test_components_match_recursion(self):
+        # each component expects more than 500 blocked sessions here
+        # (about 5700 radio, 24700 computational), enough for its
+        # t-interval to hold
+        cfg = pool(4, 5, 12, a=3.0)
+        sim = SimConfig(pool=cfg, horizon_sessions=20_000, replications=8, seed=1)
+        est = simulate(sim)
+        exact = compute_blocking(cfg)
+        assert abs(est.p_radio_hat - exact.p_radio) <= 5 * est.ci_halfwidth[0]
+        assert abs(est.p_comp_hat - exact.p_comp) <= 5 * est.ci_halfwidth[1]
+
+    def test_rounding_never_picks_out_of_range(self):
+        # with u = 1 - 2**-53, x / a rounds up to M for (M, a) = (3, 17.8)
+        # at T = 0, and x - M*a rounds up to T for (1, 0.7) at T = 3
+        class Replay:
+            def __init__(self, uniforms):
+                self.uniforms = uniforms
+
+            def random(self, size):
+                return np.array(self.uniforms)
+
+        top = 1 - 2**-53
+        assert _run_replication(pool(3, 2, 4, a=17.8), 1, 0, Replay([top])) == (
+            0.0, 0.0, 0.0
+        )
+        assert _run_replication(
+            pool(1, 5, 5, a=0.7), 4, 0, Replay([0.0, 0.0, 0.0, top, 0.0])
+        ) == (0.0, 0.0, 0.0)
 
 
 class TestTrace:
