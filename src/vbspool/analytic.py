@@ -85,19 +85,14 @@ def get_table(k_radio: int, a: float) -> RecursionTable:
     return table
 
 
-def compute_blocking(
-    config: PoolConfig, table: RecursionTable | None = None
-) -> BlockingReport:
+def compute_blocking(config: PoolConfig) -> BlockingReport:
     """Exact blocking probabilities for one (M, K, N, a) instance.
 
     P0_hat = 1 / r(N+1, M); p_comp = P0_hat * c(N, M);
     p_radio = P0_hat * p_K * r(N-K, M-1) for N > K, else 0.
     """
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
-    if table is None:
-        table = get_table(k, a)
-    elif table.k_radio != k or table.a != a:
-        raise ValueError("table built for different (K, a)")
+    table = get_table(k, a)
 
     denom = table.r(n + 1, m)
     if denom == 0.0:

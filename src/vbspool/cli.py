@@ -99,9 +99,9 @@ def _pool_from_args(args) -> PoolConfig:
     if args.a is not None:
         traffic = TrafficModel.from_load(args.a)
     elif args.lam is not None:
-        traffic = TrafficModel(
-            lam=args.lam, mu=args.mu if args.mu is not None else 1.0
-        )
+        # --lambda replaces the file's arrival rate, not its service rate
+        mu = args.mu if args.mu is not None else (base.traffic.mu if base else 1.0)
+        traffic = TrafficModel(lam=args.lam, mu=mu)
     elif base is not None:
         traffic = base.traffic
     else:
@@ -298,7 +298,8 @@ def _add_pool_flags(p: argparse.ArgumentParser):
     load = p.add_mutually_exclusive_group()
     load.add_argument("--a", type=float, help="offered load in Erlangs (= lambda/mu)")
     load.add_argument("--lambda", dest="lam", type=float, help="arrival rate per VBS")
-    p.add_argument("--mu", type=float, help="service rate, only with --lambda (default 1)")
+    p.add_argument("--mu", type=float, help="service rate, only with --lambda "
+                   "(default: the config file's, else 1)")
     p.add_argument("--config", help="key-value config file (flags override)")
 
 

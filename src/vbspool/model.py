@@ -159,7 +159,8 @@ def parse_config(text: str) -> PoolConfig:
     """Parse the key-value config format.
 
     Keys: m, k, n, and either (lambda, mu) or a (with mu defaulting to 1).
-    Lines are `key = value`; blank lines and #-comments are ignored.
+    Lines are `key = value`; blank lines and #-comments are ignored. An
+    unknown key, or both a and lambda, is an error.
     """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -174,9 +175,14 @@ def parse_config(text: str) -> PoolConfig:
             raise ValueError(f"line {lineno}: expected `key = value`: {raw!r}")
         fields[key.strip().lower()] = val.strip()
 
+    unknown = fields.keys() - {"m", "k", "n", "a", "lambda", "mu"}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     missing = {"m", "k", "n"} - fields.keys()
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
+    if "a" in fields and "lambda" in fields:
+        raise ValueError("config gives both `a` and `lambda`; give one")
     if "a" in fields:
         traffic = TrafficModel.from_load(
             float(fields["a"]), mu=float(fields.get("mu", 1.0))

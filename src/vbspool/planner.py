@@ -4,7 +4,9 @@ and pooling gain.
 The workflow mirrors how a pool is dimensioned in practice: first pick
 the smallest K meeting the blocking threshold with ample c-servers, then
 walk N down from M*K and watch the blocking curve for the knee below
-which computational blocking takes over.
+which computational blocking takes over. The pooling-gain study needs
+only n_min, which it finds by bisection on N: p_total falls strictly
+with N, so the curve crosses the threshold once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import IO
 
-from .analytic import RecursionTable, compute_blocking, get_table
+from .analytic import compute_blocking
 from .erlang import LimitBounds, dimension_radio, erlang_b, large_pool_limit
 from .model import PoolConfig, TrafficModel
 
@@ -46,17 +48,6 @@ class SweepResult:
     limit_bounds: LimitBounds | None
 
 
-def _descend(m_vbs: int, k_radio: int, a: float, table: RecursionTable, stop: float):
-    """(N, report) for N = M*K downward, ending after the first report
-    whose p_total exceeds `stop`."""
-    traffic = TrafficModel.from_load(a)
-    for n in range(m_vbs * k_radio, -1, -1):
-        report = compute_blocking(PoolConfig(m_vbs, k_radio, n, traffic), table)
-        yield n, report
-        if report.p_total > stop:
-            return
-
-
 def dimension_pool(
     m_vbs: int,
     a: float,
@@ -69,13 +60,16 @@ def dimension_pool(
     set. n_min is the smallest N still meeting the threshold and
     pooling_gain = 1 - n_min / (M*K).
     """
+    if m_vbs < 1:
+        raise ValueError(f"pool size must be >= 1, got {m_vbs}")
     k_radio = dimension_radio(a, p_threshold)
-    table = get_table(k_radio, a)
+    traffic = TrafficModel.from_load(a)
     nk = m_vbs * k_radio
     points: list[SweepPoint] = []
     n_min = nk
     stop = math.inf if full_descent else CEILING
-    for n, report in _descend(m_vbs, k_radio, a, table, stop):
+    for n in range(nk, -1, -1):
+        report = compute_blocking(PoolConfig(m_vbs, k_radio, n, traffic))
         points.append(
             SweepPoint(
                 n_comp=n,
@@ -87,6 +81,8 @@ def dimension_pool(
         )
         if report.p_total <= p_threshold:
             n_min = n
+        if report.p_total > stop:
+            break
     return SweepResult(
         m_vbs=m_vbs,
         k_radio=k_radio,
@@ -113,23 +109,30 @@ def knee_point(sweep: SweepResult) -> int:
 def gain_vs_pool_size(
     m_list: list[int], a: float, p_threshold: float
 ) -> list[tuple[int, int, float, float]]:
-    """(M, n_min, normalized n_min, pooling_gain) per pool size, sharing
-    one recursion table across all M.
+    """(M, n_min, normalized n_min, pooling_gain) per pool size.
 
-    The same descent as dimension_pool, but only n_min is kept: no curve
-    of SweepPoints is built, so a long sweep leaves no objects behind for
-    the garbage collector to promote and scan."""
+    n_min comes from bisection on N. By Little's law p_total =
+    1 - E[T]/(M*a) with E[T] <= N the mean occupancy, and E[T] rises
+    with N, so p_total falls strictly and misses p_th below M*a*(1-p_th)."""
     k_radio = dimension_radio(a, p_threshold)
-    table = get_table(k_radio, a)
+    traffic = TrafficModel.from_load(a)
     rows = []
     for m in m_list:
+        if m < 1:
+            raise ValueError(f"pool size must be >= 1, got {m}")
         nk = m * k_radio
-        n_min = min(
-            (n for n, report in _descend(m, k_radio, a, table, CEILING)
-             if report.p_total <= p_threshold),
-            default=nk,
-        )
-        rows.append((m, n_min, n_min / nk, 1.0 - n_min / nk))
+        # p_total(hi) <= p_threshold < p_total(lo). At N = M*K p_total is
+        # Erlang-B, within the threshold by dimension_radio; lo is one
+        # below the bound's last sure miss, a margin for its rounding
+        lo, hi = max(math.ceil(m * a * (1.0 - p_threshold)) - 2, -1), nk
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            report = compute_blocking(PoolConfig(m, k_radio, mid, traffic))
+            if report.p_total <= p_threshold:
+                hi = mid
+            else:
+                lo = mid
+        rows.append((m, hi, hi / nk, 1.0 - hi / nk))
     return rows
 
 

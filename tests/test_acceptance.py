@@ -261,7 +261,7 @@ def test_criterion_9_numerical_robustness():
         ok = ok and np.all(np.isfinite(col)) and col.min() >= 0.0 and col.max() <= 1.0
     worst_desc = ""
     for n in (2800, 2500, 1960, 1800):
-        r = compute_blocking(pool(100, 28, n, 17.8), table)
+        r = compute_blocking(pool(100, 28, n, 17.8))
         vals = (r.p_radio, r.p_comp, r.p_total)
         if not all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals):
             ok = False

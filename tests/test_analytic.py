@@ -150,11 +150,6 @@ class TestComputeBlocking:
         assert report.p_total == 1.0
         assert report.p_comp == 1.0
 
-    def test_shared_table_must_match_config(self):
-        table = RecursionTable(3, 1.0)
-        with pytest.raises(ValueError):
-            compute_blocking(pool(2, 3, 4, a=2.0), table)
-
 
 class TestStationaryProbability:
     def test_zero_state_is_normalization_constant(self):

@@ -98,6 +98,15 @@ class TestBlocking:
         assert code == 0
         assert "p_total = 0.5" in out
 
+    def test_lambda_keeps_config_service_rate(self, capsys, tmp_path):
+        path = tmp_path / "pool.cfg"
+        path.write_text("m = 1\nk = 1\nn = 1\nlambda = 2\nmu = 2\n")
+        code, out, _ = run(
+            capsys, "blocking", "--config", str(path), "--lambda", "2"
+        )
+        assert code == 0
+        assert "p_total = 0.5" in out
+
     def test_load_and_lambda_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["blocking", "--m", "2", "--k", "3", "--n", "4",
@@ -278,6 +287,17 @@ class TestSweepCommand:
             next(tmp_path.glob("sweep_summary_*.json")).read_text()
         )
         assert [row["knee"] for row in summary["sweeps"]] == [8, 32]
+
+    def test_pool_size_below_one_is_domain_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "sweep", "--m", "-2", "--a", "17.8", "--pth", "1e-2",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "pool size" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VBSPOOL_OUTDIR", str(tmp_path))

@@ -137,6 +137,19 @@ def test_full_descent_sweep_matches_exact(m):
     assert worst <= 1e-12, f"M={m}: worst relative error {worst:.3e}"
 
 
+@pytest.mark.parametrize("m", [10, 30])
+def test_p_total_monotone_and_above_little_bound(m):
+    # the two facts gain_vs_pool_size bisects on: p_total(N) falls
+    # strictly with N, and p_total(N) >= 1 - N/(M*a) since the mean
+    # occupancy E[T] = M*a*(1 - p_total) is at most N
+    rows = exact_curve(m, level_counts(m, K))
+    for (r0, c0, d0), (r1, c1, d1) in zip(rows, rows[1:]):
+        assert (r1 + c1) * d0 < (r0 + c0) * d1
+    for n, (radio, comp, den) in enumerate(rows):
+        # 1 - N/(M*a) = (89 M - 5 N) / (89 M)
+        assert A_NUM * m * (radio + comp) >= (A_NUM * m - A_DEN * n) * den
+
+
 def test_n_min_matches_exact():
     counts = level_counts(max(POOL_SIZES), K)
     exact = [exact_n_min(exact_curve(m, counts)) for m in POOL_SIZES]

@@ -168,3 +168,12 @@ class TestConfigFormat:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("nonsense\n")
+
+    def test_unknown_key_is_named(self):
+        # a misspelt mu must not leave the service rate at its default
+        with pytest.raises(ValueError, match="mu_"):
+            parse_config("m = 1\nk = 1\nn = 1\nlambda = 2\nmu_ = 2\n")
+
+    def test_load_and_arrival_rate_are_exclusive(self):
+        with pytest.raises(ValueError, match="both"):
+            parse_config("m = 1\nk = 1\nn = 1\na = 1\nlambda = 2\n")

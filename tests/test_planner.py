@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from vbspool.analytic import compute_blocking
 from vbspool.erlang import asymptotic_utilization, dimension_radio, erlang_b
+from vbspool.model import PoolConfig, TrafficModel
 from vbspool.planner import (
     SweepResult,
     dimension_pool,
@@ -120,13 +122,35 @@ class TestGainVsPoolSize:
 
     def test_rows_match_dimension_pool(self):
         # 1.0/0.5 dimensions K = 1 < a, the regime without limit bounds
-        for a, pth in [(17.8, 1e-2), (8.0, 1e-3), (17.8, 0.5), (1.0, 0.5)]:
-            pools = [1, 2, 5, 16, 40]
+        small = [1, 2, 5, 16, 40]
+        cases = [(17.8, 1e-2, small), (8.0, 1e-3, small), (17.8, 0.5, small),
+                 (1.0, 0.5, small), (17.8, 1e-2, [64, 256, 1024])]
+        for a, pth, pools in cases:
             want = []
             for m in pools:
                 s = dimension_pool(m, a, pth)
                 want.append((m, s.n_min, s.n_min / (m * s.k_radio), s.pooling_gain))
             assert gain_vs_pool_size(pools, a, pth) == want
+
+    @pytest.mark.parametrize("m", [64, 512])
+    def test_tie_case_brackets_threshold(self, m):
+        # K = 1 and Erlang-B(1, 1) = 0.5 exactly: p_total lies within
+        # rounding of 0.5 for many N (the exact n_min is M*K), so any
+        # computed crossing is valid if it brackets the threshold
+        (row,) = gain_vs_pool_size([m], 1.0, 0.5)
+        n_min = row[1]
+        p_total = [
+            compute_blocking(PoolConfig(m, 1, n, TrafficModel.from_load(1.0))).p_total
+            for n in (n_min, n_min - 1)
+        ]
+        assert p_total[0] <= 0.5 < p_total[1]
+
+    def test_pool_size_below_one_is_rejected(self):
+        for m in (0, -3):
+            with pytest.raises(ValueError, match="pool size"):
+                gain_vs_pool_size([2, m], 17.8, 1e-2)
+            with pytest.raises(ValueError, match="pool size"):
+                dimension_pool(m, 17.8, 1e-2)
 
     def test_study_runs_no_garbage_collection(self):
         # a study keeps no per-point objects, so however long its sweeps
