@@ -15,17 +15,23 @@ import math
 
 import numpy as np
 
+from .erlang import erlang_b
 from .model import BlockingReport, PoolConfig, StateVector
 
 
 class RecursionTable:
-    """Memoized normalized occupancy sums for a fixed (K, a).
+    """Normalized occupancy sums for a fixed (K, a), built on demand.
 
     c(n, m) is the probability that m i.i.d. Poisson(a) variables, each
     capped at K, sum to exactly n (weight of the total-occupancy level);
-    r(n, m) is the same with sum strictly below n. Columns are built by
-    convolution, one per m, and cached; a sweep over N for fixed (M, K, a)
-    is O(1) per point after the build.
+    r(n, m) is the same with sum strictly below n. Column m of c is the
+    m-fold convolution of the capped pmf, built only when read, as column
+    h convolved with column m - h, where h is m with its lowest set bit
+    cleared (h = m/2 for a power of two). Reading column M builds at most
+    2*log2(M) columns. The split depends only on m, so a column's bits
+    depend only on (K, a, m), never on which columns were read before.
+    Built columns are kept, and the cumulative sums behind r only for
+    the columns r reads.
     """
 
     def __init__(self, k_radio: int, a: float):
@@ -41,14 +47,16 @@ class RecursionTable:
         for i in range(1, k_radio + 1):
             p[i] = p[i - 1] * a / i
         self.poisson_pmf = p
-        self._c: list[np.ndarray | None] = [None, p]
-        self._r: list[np.ndarray | None] = [None, np.concatenate(([0.0], np.cumsum(p)))]
+        self._c: dict[int, np.ndarray] = {1: p}
+        self._r: dict[int, np.ndarray] = {}
 
-    def _ensure(self, m: int):
-        while len(self._c) <= m:
-            col = np.convolve(self._c[-1], self.poisson_pmf)
-            self._c.append(col)
-            self._r.append(np.concatenate(([0.0], np.cumsum(col))))
+    def _column(self, m: int) -> np.ndarray:
+        col = self._c.get(m)
+        if col is None:
+            low = m & -m
+            h = m - low if m != low else m // 2
+            col = self._c[m] = np.convolve(self._column(h), self._column(m - h))
+        return col
 
     def c(self, n: int, m: int) -> float:
         """Normalized level weight: e^{-a m} * C(n, m)."""
@@ -58,8 +66,7 @@ class RecursionTable:
             raise ValueError(
                 f"n={n} out of range 0..{m * self.k_radio} for m={m}"
             )
-        self._ensure(m)
-        return float(self._c[m][n])
+        return float(self._column(m)[n])
 
     def r(self, n: int, m: int) -> float:
         """Normalized below-level weight: e^{-a m} * R(n, m)."""
@@ -69,15 +76,17 @@ class RecursionTable:
             raise ValueError(
                 f"n={n} out of range 0..{m * self.k_radio + 1} for m={m}"
             )
-        self._ensure(m)
-        return float(self._r[m][n])
+        below = self._r.get(m)
+        if below is None:
+            below = self._r[m] = np.concatenate(([0.0], np.cumsum(self._column(m))))
+        return float(below[n])
 
 
 _tables: dict[tuple[int, float], RecursionTable] = {}
 
 
 def get_table(k_radio: int, a: float) -> RecursionTable:
-    """Shared table for (K, a); built once, then read-only."""
+    """Shared table for (K, a); its columns are built as they are read."""
     key = (k_radio, float(a))
     table = _tables.get(key)
     if table is None:
@@ -90,8 +99,15 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
 
     P0_hat = 1 / r(N+1, M); p_comp = P0_hat * c(N, M);
     p_radio = P0_hat * p_K * r(N-K, M-1) for N > K, else 0.
+    At N = M*K the VBSs are independent M/M/K/K systems with Erlang-B
+    blocking B: p_total = B, p_comp = B^M (every VBS full), and
+    p_radio = B - B^M, computed without cancellation.
     """
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
+    if n == m * k:
+        b = erlang_b(k, a)
+        p_radio = -b * math.expm1((m - 1) * math.log(b)) if m > 1 and b else 0.0
+        return BlockingReport(p_radio=p_radio, p_comp=b**m, p_total=b)
     table = get_table(k, a)
 
     denom = table.r(n + 1, m)

@@ -160,7 +160,8 @@ def parse_config(text: str) -> PoolConfig:
 
     Keys: m, k, n, and either (lambda, mu) or a (with mu defaulting to 1).
     Lines are `key = value`; blank lines and #-comments are ignored. An
-    unknown key, or both a and lambda, is an error.
+    unknown or repeated key, a malformed number, or both a and lambda is
+    an error that names the key.
     """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -173,7 +174,10 @@ def parse_config(text: str) -> PoolConfig:
             key, _, val = line.partition(":")
         else:
             raise ValueError(f"line {lineno}: expected `key = value`: {raw!r}")
-        fields[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in fields:
+            raise ValueError(f"line {lineno}: config key `{key}` is repeated")
+        fields[key] = val.strip()
 
     unknown = fields.keys() - {"m", "k", "n", "a", "lambda", "mu"}
     if unknown:
@@ -183,19 +187,26 @@ def parse_config(text: str) -> PoolConfig:
         raise ValueError(f"missing config keys: {sorted(missing)}")
     if "a" in fields and "lambda" in fields:
         raise ValueError("config gives both `a` and `lambda`; give one")
-    if "a" in fields:
-        traffic = TrafficModel.from_load(
-            float(fields["a"]), mu=float(fields.get("mu", 1.0))
-        )
-    elif "lambda" in fields:
-        traffic = TrafficModel(
-            lam=float(fields["lambda"]), mu=float(fields.get("mu", 1.0))
-        )
-    else:
+    if "a" not in fields and "lambda" not in fields:
         raise ValueError("config needs either `a` or `lambda` (and `mu`)")
+
+    def number(key: str, kind: type):
+        try:
+            return kind(fields[key])
+        except ValueError:
+            kind_name = "an integer" if kind is int else "a number"
+            raise ValueError(
+                f"config key `{key}` needs {kind_name}, got {fields[key]!r}"
+            ) from None
+
+    mu = number("mu", float) if "mu" in fields else 1.0
+    if "a" in fields:
+        traffic = TrafficModel.from_load(number("a", float), mu=mu)
+    else:
+        traffic = TrafficModel(lam=number("lambda", float), mu=mu)
     return PoolConfig(
-        m_vbs=int(fields["m"]),
-        k_radio=int(fields["k"]),
-        n_comp=int(fields["n"]),
+        m_vbs=number("m", int),
+        k_radio=number("k", int),
+        n_comp=number("n", int),
         traffic=traffic,
     )

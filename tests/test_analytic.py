@@ -1,8 +1,12 @@
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from vbspool import analytic
 from vbspool.analytic import (
     RecursionTable,
     compute_blocking,
@@ -12,6 +16,7 @@ from vbspool.analytic import (
 from vbspool.erlang import erlang_b
 from vbspool.model import PoolConfig, StateVector, TrafficModel
 from vbspool.oracle import blocking_direct, enumerate_states
+from vbspool.planner import gain_vs_pool_size
 
 
 def pool(m, k, n, a=1.0):
@@ -25,6 +30,23 @@ def brute_c(n, m, k, a):
         if sum(occ) == n:
             total += math.prod(a**x / math.factorial(x) for x in occ)
     return math.exp(-a * m) * total
+
+
+def sequential_columns(k, a, m_max):
+    """Reference: column m of c is column m - 1 convolved with the pmf."""
+    pmf = RecursionTable(k, a).poisson_pmf
+    cols = [None, pmf]
+    while len(cols) <= m_max:
+        cols.append(np.convolve(cols[-1], pmf))
+    return cols
+
+
+def column(table, m):
+    return np.array([table.c(n, m) for n in range(m * table.k_radio + 1)])
+
+
+def below(table, m):
+    return np.array([table.r(n, m) for n in range(m * table.k_radio + 2)])
 
 
 def brute_r(n, m, k, a):
@@ -109,6 +131,42 @@ class TestRecursionValues:
             table.c(0, 0)
 
 
+class TestColumnsOnDemand:
+    POOLS = [1, 2, 3, 7, 43, 299, 300, 511, 1023, 1024]
+
+    @pytest.mark.parametrize("k, a", [(28, 17.8), (12, 5.404659)])
+    def test_match_sequential_reference(self, k, a):
+        # the split regroups sums and products of non-negative terms, so
+        # each entry keeps its own relative accuracy down to where
+        # subnormals lose digits
+        ref = sequential_columns(k, a, max(self.POOLS))
+        table = RecursionTable(k, a)
+        for m in self.POOLS:
+            got, want = column(table, m), ref[m]
+            kept = want > 1e-280
+            assert np.all(np.abs(got - want)[kept] <= 1e-13 * want[kept]), m
+
+    def test_bits_do_not_depend_on_read_order(self):
+        up, down = RecursionTable(28, 17.8), RecursionTable(28, 17.8)
+        cols_up = {m: (column(up, m), below(up, m)) for m in self.POOLS}
+        cols_down = {m: (column(down, m), below(down, m)) for m in reversed(self.POOLS)}
+        for m in self.POOLS:
+            assert np.array_equal(cols_up[m][0], cols_down[m][0])
+            assert np.array_equal(cols_up[m][1], cols_down[m][1])
+
+    def test_planning_study_memory_is_bounded(self, monkeypatch):
+        # the sequential table to M = 1024 at K = 28 holds 235 MB of
+        # columns; the study reads only columns M and M - 1
+        monkeypatch.setattr(analytic, "_tables", {})
+        tracemalloc.start()
+        try:
+            gain_vs_pool_size([2**i for i in range(1, 11)], 17.8, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestComputeBlocking:
     def test_single_vbs_is_erlang_b(self):
         report = compute_blocking(pool(1, 5, 5, a=2.0))
@@ -119,6 +177,17 @@ class TestComputeBlocking:
     def test_fully_provisioned_pool_is_erlang_b(self):
         report = compute_blocking(pool(2, 3, 6))
         assert report.p_total == pytest.approx(erlang_b(3, 1.0), rel=1e-12)
+
+    def test_fully_provisioned_pool_splits_without_cancellation(self):
+        # at N = M*K the VBSs are independent: p_comp = B^M and
+        # p_radio = B - B^M, here 1e-6 next to B = 1 - 1e-6
+        m, k, a = 2, 1, 1e6
+        b = erlang_b(k, a)
+        report = compute_blocking(pool(m, k, m * k, a))
+        assert report.p_total == b
+        assert report.p_comp == b**m
+        exact = Fraction(b) - Fraction(b) ** m
+        assert abs(Fraction(report.p_radio) - exact) <= 1e-15 * exact
 
     def test_matches_oracle_on_truncated_space(self):
         cfg = pool(2, 3, 4)

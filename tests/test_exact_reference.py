@@ -22,7 +22,9 @@ from fractions import Fraction
 
 import pytest
 
+from vbspool.analytic import compute_blocking
 from vbspool.erlang import dimension_radio
+from vbspool.model import PoolConfig, TrafficModel
 from vbspool.planner import dimension_pool, gain_vs_pool_size
 
 A_NUM, A_DEN = 89, 5  # a = 89/5
@@ -156,3 +158,21 @@ def test_n_min_matches_exact():
     assert exact == N_MIN
     rows = gain_vs_pool_size(POOL_SIZES, 17.8, 1e-2)
     assert [r[1] for r in rows] == exact
+
+
+def test_m60_matches_exact_above_overloaded_band():
+    # N <= 130 at M = 60 is the overloaded band where the normalized
+    # weights are subnormal or zero; above it every point is accurate
+    m = 60
+    rows = exact_curve(m, level_counts(m, K))
+    worst = 0.0
+    for n in range(131, m * K + 1):
+        report = compute_blocking(PoolConfig(m, K, n, TrafficModel.from_load(17.8)))
+        radio, comp, den = rows[n]
+        worst = max(
+            worst,
+            rel_err(report.p_radio, radio / den),
+            rel_err(report.p_comp, comp / den),
+            rel_err(report.p_total, (radio + comp) / den),
+        )
+    assert worst <= 1e-12, f"worst relative error {worst:.3e}"

@@ -177,3 +177,14 @@ class TestConfigFormat:
     def test_load_and_arrival_rate_are_exclusive(self):
         with pytest.raises(ValueError, match="both"):
             parse_config("m = 1\nk = 1\nn = 1\na = 1\nlambda = 2\n")
+
+    def test_repeated_key_is_named(self):
+        # a stale second line must not silently replace the first
+        with pytest.raises(ValueError, match="line 5: config key `m` is repeated"):
+            parse_config("m = 2\nk = 1\nn = 1\na = 1\nm = 5\n")
+
+    def test_malformed_number_names_its_key(self):
+        with pytest.raises(ValueError, match="key `m` needs an integer, got '2.5'"):
+            parse_config("m = 2.5\nk = 1\nn = 1\na = 1\n")
+        with pytest.raises(ValueError, match="key `mu` needs a number, got 'fast'"):
+            parse_config("m = 2\nk = 1\nn = 1\nlambda = 1\nmu = fast\n")

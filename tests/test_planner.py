@@ -145,6 +145,13 @@ class TestGainVsPoolSize:
         ]
         assert p_total[0] <= 0.5 < p_total[1]
 
+    @pytest.mark.parametrize("m", [64, 512])
+    def test_tie_case_entry_points_agree_on_exact_answer(self, m):
+        # at N = M*K p_total is Erlang-B(1, 1) = 0.5 <= p_th exactly and
+        # every smaller N blocks more, so both entry points give M*K
+        assert dimension_pool(m, 1.0, 0.5).n_min == m
+        assert gain_vs_pool_size([m], 1.0, 0.5) == [(m, m, 1.0, 0.0)]
+
     def test_pool_size_below_one_is_rejected(self):
         for m in (0, -3):
             with pytest.raises(ValueError, match="pool size"):
