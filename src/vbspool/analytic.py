@@ -12,11 +12,16 @@ cancel exactly in every reported probability.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .erlang import erlang_b
 from .model import BlockingReport, PoolConfig, StateVector
+
+# column spans are scaled by 2**SPAN_SCALE before they are convolved
+SPAN_SCALE = 510
+_LOG_NORMAL = math.log(sys.float_info.min)
 
 
 class RecursionTable:
@@ -32,6 +37,16 @@ class RecursionTable:
     depend only on (K, a, m), never on which columns were read before.
     Built columns are kept, and the cumulative sums behind r only for
     the columns r reads.
+
+    Only the nonzero span of each operand is convolved, and the product
+    lands at the sum of the spans' offsets in a zero column of full
+    length m*K + 1. Both spans are scaled by 2**SPAN_SCALE first and the
+    product by 2**(-2*SPAN_SCALE) after. A power of two scales exactly
+    (only a result below the normal range rounds), every nonzero operand
+    is then a normal double, and no product is subnormal unless its true
+    value is below 2**-2042. A column sums to at most 1, so nothing
+    overflows. The tails of a column hold many subnormal entries, and
+    subnormal arithmetic is several times slower than normal.
     """
 
     def __init__(self, k_radio: int, a: float):
@@ -41,11 +56,20 @@ class RecursionTable:
             raise ValueError(f"offered load must be positive and finite, got {a}")
         self.k_radio = k_radio
         self.a = a
-        # p_i = e^{-a} a^i / i! for i = 0..K
+        # p_i = e^{-a} a^i / i! for i = 0..K by p_i = p_{i-1} a / i, started
+        # at p_0 = e^{-a} unless that is below the normal range (a > 708):
+        # then at the first normal entry, or at the mode if none is normal
+        def log_p(i):
+            return i * math.log(a) - math.lgamma(i + 1) - a
+
+        mode = min(int(a), k_radio)
+        start = next((i for i in range(mode) if log_p(i) >= _LOG_NORMAL), mode)
         p = np.empty(k_radio + 1)
-        p[0] = math.exp(-a)
-        for i in range(1, k_radio + 1):
+        p[start] = math.exp(log_p(start))
+        for i in range(start + 1, k_radio + 1):
             p[i] = p[i - 1] * a / i
+        for i in range(start, 0, -1):
+            p[i - 1] = p[i] * i / a
         self.poisson_pmf = p
         self._c: dict[int, np.ndarray] = {1: p}
         self._r: dict[int, np.ndarray] = {}
@@ -55,7 +79,17 @@ class RecursionTable:
         if col is None:
             low = m & -m
             h = m - low if m != low else m // 2
-            col = self._c[m] = np.convolve(self._column(h), self._column(m - h))
+            x, y = self._column(h), self._column(m - h)
+            col = np.zeros(m * self.k_radio + 1)
+            nx, ny = np.flatnonzero(x), np.flatnonzero(y)
+            if nx.size and ny.size:
+                i, j = nx[0], ny[0]
+                span = np.convolve(
+                    np.ldexp(x[i : nx[-1] + 1], SPAN_SCALE),
+                    np.ldexp(y[j : ny[-1] + 1], SPAN_SCALE),
+                )
+                col[i + j : i + j + span.size] = np.ldexp(span, -2 * SPAN_SCALE)
+            self._c[m] = col
         return col
 
     def c(self, n: int, m: int) -> float:

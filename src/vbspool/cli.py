@@ -137,10 +137,10 @@ def _pool_params(config: PoolConfig) -> dict:
 
 def cmd_blocking(args) -> int:
     """Exit 1 rather than print the placeholder of an underflowed
-    recursion. `oracle` and `sweep` still report that placeholder, and
-    the subnormal band just above the underflow (N = 96..130 at M=60,
-    K=28, a=17.8) still loses digits silently; both wait for a scaled
-    recursion."""
+    recursion, as `sweep` does. `oracle` still compares against that
+    placeholder, and the subnormal band just above the underflow
+    (N = 96..130 at M=60, K=28, a=17.8) still loses digits silently;
+    both wait for a tilted recursion."""
     config = _pool_from_args(args)
     report = compute_blocking(config)
     if report.underflow:

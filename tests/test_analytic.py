@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,20 @@ def column(table, m):
 
 def below(table, m):
     return np.array([table.r(n, m) for n in range(m * table.k_radio + 2)])
+
+
+@pytest.fixture
+def convolve_operands(monkeypatch):
+    """Every operand np.convolve receives while the test runs."""
+    operands = []
+    convolve = np.convolve
+
+    def spy(x, y):
+        operands.extend((x, y))
+        return convolve(x, y)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    return operands
 
 
 def brute_r(n, m, k, a):
@@ -154,6 +169,28 @@ class TestColumnsOnDemand:
             assert np.array_equal(cols_up[m][0], cols_down[m][0])
             assert np.array_equal(cols_up[m][1], cols_down[m][1])
 
+    def test_convolves_normal_nonzero_spans_only(self, convolve_operands):
+        # zero tails are not convolved, and no operand is subnormal, so
+        # no product is subnormal or a multiply by zero
+        RecursionTable(28, 17.8).c(0, 1024)
+        assert len(convolve_operands) >= 20
+        tiny = np.finfo(float).tiny
+        for x in convolve_operands:
+            assert x[0] != 0.0 and x[-1] != 0.0
+            assert np.all((x == 0.0) | (np.abs(x) >= tiny))
+
+    @pytest.mark.parametrize("m", [1024, 4096])
+    def test_full_mass_is_pmf_mass_to_the_power(self, m):
+        # r(M*K + 1, M) sums column M: the probability that no VBS
+        # exceeds K, which is (sum of the capped pmf)^M
+        table = RecursionTable(28, 17.8)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            mass = sum(Fraction(float(x)) for x in table.poisson_pmf)
+            exact = (Decimal(mass.numerator) / Decimal(mass.denominator)) ** m
+        got = table.r(m * 28 + 1, m)
+        assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact
+
     def test_planning_study_memory_is_bounded(self, monkeypatch):
         # the sequential table to M = 1024 at K = 28 holds 235 MB of
         # columns; the study reads only columns M and M - 1
@@ -165,6 +202,44 @@ class TestColumnsOnDemand:
         finally:
             tracemalloc.stop()
         assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestEdgeLoads:
+    def test_all_zero_pmf_flags_underflow(self, convolve_operands):
+        # at a = 1000 every p_i with i <= 30 is below the smallest double;
+        # a column of zeros has no span, and np.convolve raises on an
+        # empty operand
+        assert not np.any(RecursionTable(30, 1000.0).poisson_pmf)
+        report = compute_blocking(pool(2, 30, 2, 1000.0))
+        assert report.underflow
+        assert all(x.size for x in convolve_operands)
+
+    @pytest.mark.parametrize("k", [30, 800])
+    def test_leading_zeros_match_full_length_reference(self, k):
+        # e^-800 underflows but p_K does not: the pmf starts with zeros
+        a = 800.0
+        table = RecursionTable(k, a)
+        pmf = table.poisson_pmf
+        assert pmf[0] == 0.0 and pmf[k] > 0.0
+        ref = sequential_columns(k, a, 16)
+        for m in (1, 2, 3, 7, 16):
+            got, want = column(table, m), ref[m]
+            kept = want > 1e-280
+            assert np.all(np.abs(got - want)[kept] <= 1e-13 * want[kept]), m
+            assert np.all(got[~kept] <= 1e-280), m
+
+    def test_pmf_below_normal_range_keeps_erlang_b(self):
+        # one VBS with N < K is an Erlang loss system with N servers
+        report = compute_blocking(pool(1, 30, 29, 800.0))
+        assert not report.underflow
+        assert report.p_comp == pytest.approx(erlang_b(29, 800.0), rel=1e-12)
+
+    def test_pmf_unchanged_where_e_to_minus_a_is_normal(self):
+        for k, a in [(28, 17.8), (30, 700.0)]:
+            want = [math.exp(-a)]
+            for i in range(1, k + 1):
+                want.append(want[-1] * a / i)
+            assert RecursionTable(k, a).poisson_pmf.tolist() == want
 
 
 class TestComputeBlocking:

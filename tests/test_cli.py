@@ -299,6 +299,20 @@ class TestSweepCommand:
         assert "pool size" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_underflow_exits_one(self, capsys, tmp_path):
+        # the full descent at M = 60 reaches N where the recursion
+        # underflows; no placeholder row ,0,1,1 is written
+        code, out, err = run(
+            capsys,
+            "sweep", "--m", "60", "--a", "17.8", "--pth", "1e-2",
+            "--full-descent", "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "underflow" in err and "M=60" in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VBSPOOL_OUTDIR", str(tmp_path))
         code, _, _ = run(capsys, "sweep", "--m", "1", "--a", "1", "--pth", "0.5")

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,18 @@ class TestDimensionPool:
         assert len(partial.points) <= len(full.points)
         assert partial.n_min == full.n_min
         assert partial.points[-1].p_total > 0.5 or partial.points[-1].n_comp == 0
+
+    def test_underflow_is_domain_error(self):
+        # the recursion underflows below N = 96 at M = 60; the sweep
+        # names the first such N rather than record the placeholder
+        with pytest.raises(ValueError, match="underflow") as exc:
+            dimension_pool(60, 17.8, 1e-2, full_descent=True)
+        found = re.search(r"M=60, N=(\d+)\b", str(exc.value))
+        assert found
+        n = int(found.group(1))
+        traffic = TrafficModel.from_load(17.8)
+        assert compute_blocking(PoolConfig(60, 28, n, traffic)).underflow
+        assert not compute_blocking(PoolConfig(60, 28, n + 1, traffic)).underflow
 
     def test_normalized_axis(self):
         sweep = dimension_pool(2, 1.0, 0.5)
