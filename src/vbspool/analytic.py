@@ -128,6 +128,20 @@ def get_table(k_radio: int, a: float) -> RecursionTable:
     return table
 
 
+def _reachable_weight(table: RecursionTable, m: int, n: int) -> float:
+    """r(N+1, M), the normalized weight of the reachable states and the
+    denominator of every probability. Raises ValueError where it
+    underflowed to 0, since every ratio over it would be 0/0 (exact
+    p_comp at M=60, K=28, N=40, a=17.8: 0.962583)."""
+    denom = table.r(n + 1, m)
+    if denom == 0.0:
+        raise ValueError(
+            f"the normalized weight of the reachable states underflowed "
+            f"at M={m}, N={n}; the pool is too overloaded for the recursion"
+        )
+    return denom
+
+
 def compute_blocking(config: PoolConfig) -> BlockingReport:
     """Exact blocking probabilities for one (M, K, N, a) instance.
 
@@ -135,7 +149,8 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
     p_radio = P0_hat * p_K * r(N-K, M-1) for N > K, else 0.
     At N = M*K the VBSs are independent M/M/K/K systems with Erlang-B
     blocking B: p_total = B, p_comp = B^M (every VBS full), and
-    p_radio = B - B^M, computed without cancellation.
+    p_radio = B - B^M, computed without cancellation. Raises ValueError
+    where r(N+1, M) underflowed.
     """
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
     if n == m * k:
@@ -143,14 +158,7 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
         p_radio = -b * math.expm1((m - 1) * math.log(b)) if m > 1 and b else 0.0
         return BlockingReport(p_radio=p_radio, p_comp=b**m, p_total=b)
     table = get_table(k, a)
-
-    denom = table.r(n + 1, m)
-    if denom == 0.0:
-        # The normalized weight of the reachable states underflowed, so
-        # the ratios below are 0/0: the flagged placeholder is not the
-        # model's answer (exact p_comp at M=60, K=28, N=40, a=17.8: 0.962583).
-        return BlockingReport(p_radio=0.0, p_comp=1.0, p_total=1.0, underflow=True)
-
+    denom = _reachable_weight(table, m, n)
     p_comp = table.c(n, m) / denom
     if n > k:
         p_k = float(table.poisson_pmf[k])
@@ -163,7 +171,8 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
 
 
 def stationary_probability(config: PoolConfig, state: StateVector) -> float:
-    """Product-form stationary probability of one state."""
+    """Product-form stationary probability of one state. Raises
+    ValueError where r(N+1, M) underflowed."""
     if not state.is_valid(config):
         raise ValueError(f"state {state.occupancy} not in state space")
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
@@ -172,4 +181,4 @@ def stationary_probability(config: PoolConfig, state: StateVector) -> float:
     weight = 1.0
     for km in state.occupancy:
         weight *= pmf[km]
-    return float(weight) / table.r(n + 1, m)
+    return float(weight) / _reachable_weight(table, m, n)

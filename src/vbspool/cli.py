@@ -136,20 +136,8 @@ def _pool_params(config: PoolConfig) -> dict:
 
 
 def cmd_blocking(args) -> int:
-    """Exit 1 rather than print the placeholder of an underflowed
-    recursion, as `sweep` does. `oracle` still compares against that
-    placeholder, and the subnormal band just above the underflow
-    (N = 96..130 at M=60, K=28, a=17.8) still loses digits silently;
-    both wait for a tilted recursion."""
     config = _pool_from_args(args)
     report = compute_blocking(config)
-    if report.underflow:
-        print(
-            "error: the normalized weight of the reachable states underflowed; "
-            "the pool is too overloaded for the recursion",
-            file=sys.stderr,
-        )
-        return 1
     _emit(
         {
             "p_radio": report.p_radio,
@@ -256,8 +244,8 @@ def cmd_dimension(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = _pool_from_args(args)
-    direct = blocking_direct(config)
     recursive = compute_blocking(config)
+    direct = blocking_direct(config)
     deviations = []
     for exact, approx in (
         (direct.p_radio, recursive.p_radio),

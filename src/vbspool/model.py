@@ -80,15 +80,11 @@ class PoolConfig:
 
 @dataclass(frozen=True)
 class BlockingReport:
-    """Radio, computational, and total session blocking probabilities.
-
-    underflow is set when the normalized weight of the reachable states
-    underflowed to zero, so the probabilities are not the model's."""
+    """Radio, computational, and total session blocking probabilities."""
 
     p_radio: float
     p_comp: float
     p_total: float
-    underflow: bool = False
 
 
 @dataclass(frozen=True)

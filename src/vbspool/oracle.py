@@ -30,7 +30,6 @@ STATE_CAP = 10**6
 class EnumeratedChain:
     """Explicit CTMC: states and sparse rate triples."""
 
-    config: PoolConfig
     states: list[StateVector]
     rate_entries: list[tuple[int, int, float]]
 
@@ -74,7 +73,7 @@ def build_generator(config: PoolConfig) -> EnumeratedChain:
             if occ[m] > 0:
                 down = occ[:m] + (occ[m] - 1,) + occ[m + 1:]
                 entries.append((i, index[down], occ[m] * mu))
-    return EnumeratedChain(config=config, states=states, rate_entries=entries)
+    return EnumeratedChain(states=states, rate_entries=entries)
 
 
 def solve_stationary(chain: EnumeratedChain) -> np.ndarray:

@@ -58,9 +58,7 @@ def dimension_pool(
 
     Stops early once p_total exceeds CEILING unless full_descent is
     set. n_min is the smallest N still meeting the threshold and
-    pooling_gain = 1 - n_min / (M*K). Raises ValueError at the first N
-    where the recursion underflows rather than report its placeholder.
-    """
+    pooling_gain = 1 - n_min / (M*K)."""
     if m_vbs < 1:
         raise ValueError(f"pool size must be >= 1, got {m_vbs}")
     k_radio = dimension_radio(a, p_threshold)
@@ -71,11 +69,6 @@ def dimension_pool(
     stop = math.inf if full_descent else CEILING
     for n in range(nk, -1, -1):
         report = compute_blocking(PoolConfig(m_vbs, k_radio, n, traffic))
-        if report.underflow:
-            raise ValueError(
-                f"the normalized weight of the reachable states underflowed "
-                f"at M={m_vbs}, N={n}; the pool is too overloaded for the recursion"
-            )
         points.append(
             SweepPoint(
                 n_comp=n,

@@ -210,8 +210,8 @@ class TestEdgeLoads:
         # a column of zeros has no span, and np.convolve raises on an
         # empty operand
         assert not np.any(RecursionTable(30, 1000.0).poisson_pmf)
-        report = compute_blocking(pool(2, 30, 2, 1000.0))
-        assert report.underflow
+        with pytest.raises(ValueError, match="underflow.*M=2, N=2"):
+            compute_blocking(pool(2, 30, 2, 1000.0))
         assert all(x.size for x in convolve_operands)
 
     @pytest.mark.parametrize("k", [30, 800])
@@ -231,7 +231,6 @@ class TestEdgeLoads:
     def test_pmf_below_normal_range_keeps_erlang_b(self):
         # one VBS with N < K is an Erlang loss system with N servers
         report = compute_blocking(pool(1, 30, 29, 800.0))
-        assert not report.underflow
         assert report.p_comp == pytest.approx(erlang_b(29, 800.0), rel=1e-12)
 
     def test_pmf_unchanged_where_e_to_minus_a_is_normal(self):
@@ -319,6 +318,18 @@ class TestStationaryProbability:
         assert stationary_probability(
             cfg, StateVector((1, 2))
         ) == stationary_probability(cfg, StateVector((2, 1)))
+
+    @pytest.mark.parametrize(
+        "m, k, n, a, state",
+        [
+            (60, 28, 40, 17.8, (1,) * 40 + (0,) * 20),
+            (2, 30, 2, 1000.0, (1, 1)),
+        ],
+    )
+    def test_underflowed_pool_is_domain_error(self, m, k, n, a, state):
+        # r(N+1, M) underflowed to 0, the denominator of the product form
+        with pytest.raises(ValueError, match=f"underflow.*M={m}, N={n}\\b"):
+            stationary_probability(pool(m, k, n, a), StateVector(state))
 
     def test_state_outside_space_rejected(self):
         with pytest.raises(ValueError):

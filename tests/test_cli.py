@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from vbspool import cli
+from vbspool.analytic import compute_blocking
 from vbspool.cli import main
 from vbspool.erlang import erlang_b
 from vbspool.model import PoolConfig, TrafficModel
@@ -217,17 +220,32 @@ class TestOracleCommand:
         values = dict(line.split(" = ") for line in out.strip().splitlines())
         assert float(values["max_relative_deviation"]) < 1e-12
 
-    def test_disagreement_exits_one(self, capsys):
-        # the recursion underflows to p_comp = 1.0; the exact value is
-        # 0.9990005
+    def test_disagreement_exits_one(self, capsys, monkeypatch):
+        # a recursion off by 1e-6 in p_comp is outside the tolerance
+        def skewed(config):
+            report = compute_blocking(config)
+            return replace(report, p_comp=report.p_comp * (1 + 1e-6))
+
+        monkeypatch.setattr(cli, "compute_blocking", skewed)
+        code, out, err = run(
+            capsys, "oracle", "--m", "2", "--k", "3", "--n", "4", "--a", "1"
+        )
+        assert code == 1
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert float(values["max_relative_deviation"]) > 1e-9
+        assert err.startswith("error:") and "disagree" in err
+        assert len(err.splitlines()) == 1
+
+    def test_underflow_exits_one(self, capsys):
+        # r(N+1, M) underflows to 0: there is no recursion value to
+        # compare the oracle's p_comp = 0.9990005 against
         code, out, err = run(
             capsys, "oracle", "--m", "2", "--k", "30", "--n", "2", "--a", "1000"
         )
         assert code == 1
-        values = dict(line.split(" = ") for line in out.strip().splitlines())
-        assert float(values["p_comp"]) == pytest.approx(0.9990005, rel=1e-6)
-        assert float(values["max_relative_deviation"]) > 1e-9
-        assert err.startswith("error:")
+        assert out == ""
+        assert err.startswith("error:") and "underflow" in err
+        assert "disagree" not in err
         assert len(err.splitlines()) == 1
 
     def test_edge_dump(self, capsys, tmp_path):

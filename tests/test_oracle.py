@@ -157,11 +157,8 @@ class TestLevelOrderedSolve:
         assert np.all(np.abs(pi - want) <= 1e-14 * want)
 
     def test_two_level_jump_is_refused(self):
-        cfg = pool(1, 2, 2)
-        states = enumerate_states(cfg)
         chain = EnumeratedChain(
-            config=cfg,
-            states=states,
+            states=enumerate_states(pool(1, 2, 2)),
             rate_entries=[(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 1.0)],
         )
         with pytest.raises(ValueError, match="level"):
@@ -181,6 +178,12 @@ class TestBlockingDirect:
         assert direct.p_radio == pytest.approx(recursive.p_radio, rel=1e-12)
         assert direct.p_comp == pytest.approx(recursive.p_comp, rel=1e-12)
         assert direct.p_total == pytest.approx(recursive.p_total, rel=1e-12)
+
+    def test_overloaded_pool_beyond_the_recursion(self):
+        # at a = 1000 every capped Poisson weight underflows and the
+        # recursion refuses the pool; the chain has six states
+        report = blocking_direct(pool(2, 30, 2, a=1000.0))
+        assert report.p_comp == pytest.approx(0.9990005, rel=1e-6)
 
     def test_fully_provisioned_is_erlang_b(self):
         report = blocking_direct(pool(2, 3, 6))

@@ -61,15 +61,17 @@ class TestDimensionPool:
 
     def test_underflow_is_domain_error(self):
         # the recursion underflows below N = 96 at M = 60; the sweep
-        # names the first such N rather than record the placeholder
+        # names the first such N
         with pytest.raises(ValueError, match="underflow") as exc:
             dimension_pool(60, 17.8, 1e-2, full_descent=True)
         found = re.search(r"M=60, N=(\d+)\b", str(exc.value))
         assert found
         n = int(found.group(1))
+        assert n == 95
         traffic = TrafficModel.from_load(17.8)
-        assert compute_blocking(PoolConfig(60, 28, n, traffic)).underflow
-        assert not compute_blocking(PoolConfig(60, 28, n + 1, traffic)).underflow
+        with pytest.raises(ValueError, match=f"underflow.*M=60, N={n}\\b"):
+            compute_blocking(PoolConfig(60, 28, n, traffic))
+        assert compute_blocking(PoolConfig(60, 28, n + 1, traffic)).p_comp > 0.0
 
     def test_normalized_axis(self):
         sweep = dimension_pool(2, 1.0, 0.5)
@@ -164,6 +166,23 @@ class TestGainVsPoolSize:
         # every smaller N blocks more, so both entry points give M*K
         assert dimension_pool(m, 1.0, 0.5).n_min == m
         assert gain_vs_pool_size([m], 1.0, 0.5) == [(m, m, 1.0, 0.0)]
+
+    def test_underflow_is_domain_error(self):
+        # at a = 17.8, p_th = 0.5 (K = 10) the capped pmf holds 0.0335 of
+        # the mass, and 0.0335^256 underflows every weight of column 256,
+        # so no n_min is reported (the exact one is 2285, not M*K)
+        with pytest.raises(ValueError, match=r"underflow.*M=256, N="):
+            gain_vs_pool_size([256], 17.8, 0.5)
+
+    def test_small_pools_keep_their_rows(self):
+        assert gain_vs_pool_size([2, 4, 8, 16, 32, 64], 17.8, 0.5) == [
+            (2, 20, 1.0, 0.0),
+            (4, 38, 0.95, 1 - 38 / 40),
+            (8, 75, 0.9375, 0.0625),
+            (16, 147, 0.91875, 1 - 147 / 160),
+            (32, 290, 0.90625, 0.09375),
+            (64, 575, 0.8984375, 0.1015625),
+        ]
 
     def test_pool_size_below_one_is_rejected(self):
         for m in (0, -3):
