@@ -11,6 +11,7 @@ cancel exactly in every reported probability.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -116,16 +117,12 @@ class RecursionTable:
         return float(below[n])
 
 
-_tables: dict[tuple[int, float], RecursionTable] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def get_table(k_radio: int, a: float) -> RecursionTable:
-    """Shared table for (K, a); its columns are built as they are read."""
-    key = (k_radio, float(a))
-    table = _tables.get(key)
-    if table is None:
-        table = _tables[key] = RecursionTable(k_radio, a)
-    return table
+    """Shared table for (K, a); its columns are built as they are read.
+    The 16 most recently used tables are kept. The cache keys positional
+    and keyword calls apart, so callers pass (K, a) positionally."""
+    return RecursionTable(k_radio, float(a))
 
 
 def _reachable_weight(table: RecursionTable, m: int, n: int) -> float:

@@ -1,4 +1,4 @@
-"""Model instance, state space, and admission policy for a VBS pool.
+"""Model instance and state space of a VBS pool.
 
 A pool has M virtual base stations (VBSs), each with K radio servers
 (r-servers), sharing N computational servers (c-servers). Sessions arrive
@@ -9,17 +9,8 @@ VBS has a free r-server and the pool has a free c-server.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-
-
-class Outcome(enum.Enum):
-    """Fate of an offered session at a given state."""
-
-    ADMIT = "admit"
-    RADIO_BLOCK = "radio_block"
-    COMPUTE_BLOCK = "compute_block"
 
 
 @dataclass(frozen=True)
@@ -106,36 +97,6 @@ class StateVector:
         )
 
 
-def _check_index(config: PoolConfig, state: StateVector, vbs_index: int):
-    if not 1 <= vbs_index <= config.m_vbs:
-        raise ValueError(
-            f"vbs_index {vbs_index} out of range 1..{config.m_vbs}"
-        )
-    if not state.is_valid(config):
-        raise ValueError(f"state {state.occupancy} not in state space")
-
-
-def classify_blocking(
-    config: PoolConfig, state: StateVector, vbs_index: int
-) -> Outcome:
-    """Classify an arrival at VBS vbs_index (1-based) in the given state.
-
-    Compute blocking takes precedence: a full pool (total == N) is
-    COMPUTE_BLOCK even if the target VBS is also radio-full.
-    """
-    _check_index(config, state, vbs_index)
-    if state.total == config.n_comp:
-        return Outcome.COMPUTE_BLOCK
-    if state.occupancy[vbs_index - 1] == config.k_radio:
-        return Outcome.RADIO_BLOCK
-    return Outcome.ADMIT
-
-
-def admits(config: PoolConfig, state: StateVector, vbs_index: int) -> bool:
-    """True iff an arrival at VBS vbs_index would be accepted."""
-    return classify_blocking(config, state, vbs_index) is Outcome.ADMIT
-
-
 def state_space_size(config: PoolConfig) -> int:
     """Count of occupancy vectors with every entry <= K and sum <= N."""
     K, N = config.k_radio, config.n_comp
@@ -164,11 +125,8 @@ def parse_config(text: str) -> PoolConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        elif ":" in line:
-            key, _, val = line.partition(":")
-        else:
+        key, eq, val = line.partition("=")
+        if not eq:
             raise ValueError(f"line {lineno}: expected `key = value`: {raw!r}")
         key = key.strip().lower()
         if key in fields:

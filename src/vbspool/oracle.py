@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .model import BlockingReport, PoolConfig, StateVector, admits, state_space_size
+from .model import BlockingReport, PoolConfig, StateVector, state_space_size
 
 STATE_CAP = 10**6
 
@@ -59,15 +59,20 @@ def enumerate_states(config: PoolConfig) -> list[StateVector]:
 
 
 def build_generator(config: PoolConfig) -> EnumeratedChain:
-    """Transition rates: lambda per admissible arrival, k_m * mu per departure."""
+    """Transition rates: lambda per admitted arrival, k_m * mu per departure.
+
+    An arrival at VBS m is admitted iff the pool has a free c-server
+    (total < N) and the VBS a free r-server (k_m < K).
+    """
     states = enumerate_states(config)
     index = {s.occupancy: i for i, s in enumerate(states)}
+    K, N = config.k_radio, config.n_comp
     lam, mu = config.traffic.lam, config.traffic.mu
     entries: list[tuple[int, int, float]] = []
     for i, s in enumerate(states):
         occ = s.occupancy
         for m in range(config.m_vbs):
-            if admits(config, s, m + 1):
+            if s.total < N and occ[m] < K:
                 up = occ[:m] + (occ[m] + 1,) + occ[m + 1:]
                 entries.append((i, index[up], lam))
             if occ[m] > 0:

@@ -6,16 +6,14 @@ M*a, uniform over the VBSs, and each of the T sessions in service leaves
 at rate 1. One uniform per event picks the transition, and the run
 never keeps a clock. Blocking is estimated by counting offered sessions
 (valid by PASTA), with a 95% confidence interval from across-replication
-variance. Only a trace sink needs times: simulate_trace draws the
-Exp(mu*(M*a + T)) holding time of every state it leaves. Replications
-draw their random streams from SeedSequence(seed).spawn, so runs are
-reproducible and replications are independent.
+variance. Replications draw their random streams from
+SeedSequence(seed).spawn, so runs are reproducible and replications are
+independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -23,12 +21,12 @@ from .model import PoolConfig
 
 _BATCH = 4096  # uniforms drawn from the generator at a time
 
-TraceSink = Callable[[float, str, int, int], None]
-
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters. warmup_sessions defaults to 10% of the horizon."""
+    """Run parameters: horizon_sessions >= 1 offered sessions per
+    replication, of which the first warmup_sessions (default 10%) are not
+    counted."""
 
     pool: PoolConfig
     horizon_sessions: int
@@ -37,12 +35,15 @@ class SimConfig:
     warmup_sessions: int | None = None
 
     def __post_init__(self):
+        if self.horizon_sessions < 1:
+            raise ValueError(
+                f"horizon_sessions must be >= 1, got {self.horizon_sessions}"
+            )
         warmup = self.warmup_sessions
         if warmup is None:
             warmup = self.horizon_sessions // 10
             object.__setattr__(self, "warmup_sessions", warmup)
-        # horizon == warmup == 0 is allowed as a degenerate trace run
-        if warmup < 0 or warmup > max(self.horizon_sessions - 1, 0):
+        if not 0 <= warmup < self.horizon_sessions:
             raise ValueError(
                 f"need 0 <= warmup ({warmup}) < horizon ({self.horizon_sessions})"
             )
@@ -67,15 +68,12 @@ def _run_replication(
     horizon: int,
     warmup: int,
     rng: np.random.Generator,
-    sink: TraceSink | None = None,
 ) -> tuple[float, float, float]:
     """One independent run; returns (radio, comp, total) blocked fractions."""
     M, K, N, a = pool.m_vbs, pool.k_radio, pool.n_comp, pool.a
-    mu = pool.traffic.mu  # sets the trace clock only
     arrival_rate = M * a
     occ = [0] * M
     busy: list[int] = []  # the VBS of each session in service, unordered
-    t = 0.0
     offered = n_radio = n_comp = 0
     while offered < horizon:
         for u in rng.random(_BATCH).tolist():
@@ -85,15 +83,13 @@ def _run_replication(
             if x < arrival_rate:
                 m = min(int(x / a), M - 1)
                 offered += 1
-                # same rule as model.classify_blocking, inlined for the hot loop
+                # admitted iff the pool has a free c-server and VBS m a
+                # free r-server; a full pool counts as compute-blocked
                 if T == N:
-                    event = "arrival_compute_blocked"
                     n_comp += offered > warmup
                 elif occ[m] == K:
-                    event = "arrival_radio_blocked"
                     n_radio += offered > warmup
                 else:
-                    event = "arrival_admitted"
                     occ[m] += 1
                     busy.append(m)
             else:
@@ -102,17 +98,10 @@ def _run_replication(
                 busy[i] = busy[-1]
                 busy.pop()
                 occ[m] -= 1
-                event = "departure"
-            if sink is not None:
-                # the holding time of the state just left, T sessions in service
-                t += rng.standard_exponential() / (mu * (arrival_rate + T))
-                sink(t, event, m + 1, len(busy))
             if offered == horizon:
                 break
 
     counted = horizon - warmup
-    if counted == 0:
-        return (0.0, 0.0, 0.0)
     return (n_radio / counted, n_comp / counted, (n_radio + n_comp) / counted)
 
 
@@ -148,18 +137,4 @@ def simulate(sim: SimConfig) -> SimEstimate:
         ci_halfwidth=half,
         offered=counted * sim.replications,
         per_replication=tuple(tuple(r) for r in reps),
-    )
-
-
-def simulate_trace(sim: SimConfig, sink: TraceSink):
-    """Stream (time, event, vbs, total_occupancy) tuples for one run."""
-    if sim.replications != 1:
-        raise ValueError("tracing requires exactly one replication")
-    stream = np.random.SeedSequence(sim.seed).spawn(1)[0]
-    _run_replication(
-        sim.pool,
-        sim.horizon_sessions,
-        sim.warmup_sessions,
-        np.random.default_rng(stream),
-        sink=sink,
     )

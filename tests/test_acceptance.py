@@ -189,14 +189,15 @@ def test_criterion_6_diminishing_marginal_gain():
         f"normalized n_min {['%.4f' % x for x in norm]}, "
         f"strictly decreasing {decreasing}, decrement ratios in (0.5, 1) "
         f"{diminishing} (got {['%.3f' % q for q in ratios]}, decrements "
-        f"{['%.4f' % d for d in decrements]}), n_min(64) >= asymptote "
+        f"{['%.4f' % d for d in decrements]}), n_min(64) >= E[k]/K "
         f"{floor:.4f} {floor_ok}, n_min(64) still above a/K {upper:.4f} "
         f"{slow} (got {norm[-1]:.4f})",
     )
     assert ok, (
         "diminishing marginal gain: normalized n_min must fall strictly, "
         "each per-doubling decrement must shrink by a ratio in (0.5, 1) "
-        "(slower than 1/M), and n_min(64) must lie above the asymptote and "
+        "(slower than 1/M), and n_min(64) must lie at or above E[k]/K (the "
+        "utilization of a fully provisioned pool, not the large-M limit) and "
         "still above a/K (slow convergence); see ledger (CHANGES.md, "
         "acceptance criteria 5 and 6)."
     )

@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vbspool import analytic
 from vbspool.analytic import (
     RecursionTable,
     compute_blocking,
@@ -191,10 +190,21 @@ class TestColumnsOnDemand:
         got = table.r(m * 28 + 1, m)
         assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact
 
-    def test_planning_study_memory_is_bounded(self, monkeypatch):
+    def test_table_cache_is_bounded(self):
+        # a long-lived process that studies many loads keeps the 16 most
+        # recently used tables; an evicted one is rebuilt on its next read
+        get_table.cache_clear()
+        tables = [get_table(3, 1.0 + i) for i in range(17)]
+        assert get_table.cache_info().currsize == 16
+        assert get_table(3, 17.0) is tables[-1]
+        rebuilt = get_table(3, 1.0)
+        assert rebuilt is not tables[0]
+        assert np.array_equal(rebuilt.poisson_pmf, tables[0].poisson_pmf)
+
+    def test_planning_study_memory_is_bounded(self):
         # the sequential table to M = 1024 at K = 28 holds 235 MB of
         # columns; the study reads only columns M and M - 1
-        monkeypatch.setattr(analytic, "_tables", {})
+        get_table.cache_clear()
         tracemalloc.start()
         try:
             gain_vs_pool_size([2**i for i in range(1, 11)], 17.8, 1e-2)

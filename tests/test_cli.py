@@ -177,6 +177,19 @@ class TestSimulateCommand:
         )
 
 
+    def test_empty_horizon_is_domain_error(self, capsys):
+        # no offered session, no blocking estimate
+        code, out, err = run(
+            capsys,
+            "simulate", "--m", "2", "--k", "3", "--n", "4", "--a", "1",
+            "--sessions", "0", "--reps", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "horizon_sessions" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestLimitCommand:
     def test_dimensioned_limit(self, capsys):
         code, out, _ = run(capsys, "limit", "--a", "17.8", "--pth", "1e-2")

@@ -4,12 +4,9 @@ import math
 import pytest
 
 from vbspool.model import (
-    Outcome,
     PoolConfig,
     StateVector,
     TrafficModel,
-    admits,
-    classify_blocking,
     parse_config,
     state_space_size,
 )
@@ -71,60 +68,6 @@ class TestStateVector:
         assert not StateVector((1,)).is_valid(cfg)  # wrong length
 
 
-class TestAdmission:
-    def test_radio_full_vbs_blocks(self):
-        assert not admits(pool(2, 3, 4), StateVector((3, 0)), 1)
-
-    def test_empty_system_admits(self):
-        assert admits(pool(2, 3, 4), StateVector((0, 0)), 1)
-
-    def test_full_pool_blocks_every_vbs(self):
-        cfg = pool(2, 3, 4)
-        assert not admits(cfg, StateVector((2, 2)), 1)
-        assert not admits(cfg, StateVector((2, 2)), 2)
-
-    def test_classify_compute_block(self):
-        out = classify_blocking(pool(2, 3, 4), StateVector((3, 1)), 1)
-        assert out is Outcome.COMPUTE_BLOCK
-
-    def test_classify_radio_block(self):
-        out = classify_blocking(pool(3, 3, 5), StateVector((3, 1, 0)), 1)
-        assert out is Outcome.RADIO_BLOCK
-
-    def test_classify_admit(self):
-        out = classify_blocking(pool(3, 3, 5), StateVector((2, 1, 0)), 1)
-        assert out is Outcome.ADMIT
-
-    def test_compute_takes_precedence_over_radio(self):
-        # pool full and target VBS radio-full at once
-        out = classify_blocking(pool(2, 3, 4), StateVector((3, 1)), 1)
-        assert out is Outcome.COMPUTE_BLOCK
-
-    @pytest.mark.parametrize("idx", [0, 3, -1])
-    def test_index_out_of_range(self, idx):
-        with pytest.raises(ValueError):
-            admits(pool(2, 3, 4), StateVector((0, 0)), idx)
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(ValueError):
-            classify_blocking(pool(2, 3, 4), StateVector((3, 2)), 1)
-
-    def test_exactly_one_outcome_everywhere(self):
-        cfg = pool(3, 2, 4)
-        for occ in itertools.product(range(3), repeat=3):
-            s = StateVector(occ)
-            if not s.is_valid(cfg):
-                continue
-            for m in range(1, 4):
-                out = classify_blocking(cfg, s, m)
-                assert admits(cfg, s, m) == (out is Outcome.ADMIT)
-                if out is Outcome.COMPUTE_BLOCK:
-                    assert s.total == cfg.n_comp
-                elif out is Outcome.RADIO_BLOCK:
-                    assert s.total < cfg.n_comp
-                    assert occ[m - 1] == cfg.k_radio
-
-
 class TestStateSpaceSize:
     def test_single_vbs(self):
         assert state_space_size(pool(1, 3, 3)) == 4
@@ -168,6 +111,9 @@ class TestConfigFormat:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("nonsense\n")
+        # `key = value` is the one syntax; a colon does not separate
+        with pytest.raises(ValueError, match="line 2: expected `key = value`"):
+            parse_config("m = 2\nk: 3\nn = 4\na = 1\n")
 
     def test_unknown_key_is_named(self):
         # a misspelt mu must not leave the service rate at its default

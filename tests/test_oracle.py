@@ -74,6 +74,30 @@ class TestGenerator:
         for j, rate in outgoing:
             assert chain.states[j].total == 3
 
+    @pytest.mark.parametrize("m_vbs, k, n", [(3, 2, 4), (2, 3, 4), (3, 3, 5)])
+    def test_arrival_arc_iff_admitted(self, m_vbs, k, n):
+        # an arrival at VBS m is admitted iff total < N and k_m < K; every
+        # state and VBS is checked, and each pool reaches every case, a
+        # radio-full VBS in a full pool too
+        chain = build_generator(pool(m_vbs, k, n, lam=0.7))
+        arrivals = {}
+        for i, j, rate in chain.rate_entries:
+            step = np.subtract(chain.states[j].occupancy, chain.states[i].occupancy)
+            if step.sum() == 1:
+                arrivals[(i, int(np.argmax(step)))] = rate
+        seen = set()
+        for i, s in enumerate(chain.states):
+            for m in range(m_vbs):
+                admitted = s.total < n and s.occupancy[m] < k
+                assert arrivals.get((i, m)) == (0.7 if admitted else None)
+                seen.add((admitted, s.total == n, s.occupancy[m] == k))
+        assert seen == {
+            (True, False, False),
+            (False, False, True),
+            (False, True, False),
+            (False, True, True),
+        }
+
     def test_departure_rates_scale_with_occupancy(self):
         chain = build_generator(pool(1, 3, 3, lam=1.0, mu=2.0))
         rates = {

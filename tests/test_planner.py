@@ -212,10 +212,27 @@ class TestGainVsPoolSize:
         assert runs == []
 
     def test_normalized_n_min_above_asymptote(self):
+        # E[k]/K, the utilization of a fully provisioned pool, is not the
+        # limit of normalized n_min (that is a(1 - p_th)/K), but it lies
+        # below normalized n_min at these small pools
         k = dimension_radio(17.8, 1e-2)
         floor = asymptotic_utilization(k, 17.8)
         rows = gain_vs_pool_size([2, 8, 32], 17.8, 1e-2)
-        assert all(r[2] >= floor for r in rows)
+        assert all(r[2] >= floor for r in rows), (
+            f"normalized n_min {[r[2] for r in rows]} below E[k]/K {floor}"
+        )
+
+    def test_n_min_above_little_bound_to_4096(self):
+        # by Little's law p_total >= 1 - N/(M*a), so n_min >= M*a*(1 - p_th)
+        # at every M; E[k]/K is no floor: at M = 4096 normalized n_min
+        # (0.630912) lies below it (0.631693)
+        a, pth = 17.8, 1e-2
+        pools = [2**i for i in range(1, 13)]
+        rows = gain_vs_pool_size(pools, a, pth)
+        for m, n_min, _, _ in rows:
+            assert n_min >= m * a * (1 - pth), (m, n_min)
+        k = dimension_radio(a, pth)
+        assert rows[-1][2] < asymptotic_utilization(k, a)
 
     def test_stricter_qos_increases_gain(self):
         for m in (5, 30):

@@ -10,20 +10,24 @@ from scipy import stats
 import vbspool
 from vbspool.analytic import compute_blocking
 from vbspool.erlang import erlang_b
-from vbspool.model import (
-    Outcome,
-    PoolConfig,
-    StateVector,
-    TrafficModel,
-    classify_blocking,
-)
-from vbspool.simulator import SimConfig, _run_replication, simulate, simulate_trace
+from vbspool.model import PoolConfig, TrafficModel
+from vbspool.simulator import SimConfig, _run_replication, simulate
 
 
 def pool(m, k, n, a=1.0, lam=None, mu=1.0):
     if lam is not None:
         return PoolConfig(m, k, n, TrafficModel(lam=lam, mu=mu))
     return PoolConfig(m, k, n, TrafficModel.from_load(a))
+
+
+class Replay:
+    """Stands in for the generator: every batch is the scripted uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        return np.array(self.uniforms)
 
 
 class TestSimConfig:
@@ -36,6 +40,16 @@ class TestSimConfig:
             SimConfig(pool=pool(1, 1, 1), horizon_sessions=10, warmup_sessions=10)
         with pytest.raises(ValueError):
             SimConfig(pool=pool(1, 1, 1), horizon_sessions=10, warmup_sessions=-1)
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_must_be_positive(self, horizon):
+        # a blocking estimate needs at least one offered session
+        with pytest.raises(ValueError, match="horizon_sessions must be >= 1"):
+            SimConfig(pool=pool(1, 1, 1), horizon_sessions=horizon)
+        with pytest.raises(ValueError, match="horizon_sessions must be >= 1"):
+            SimConfig(
+                pool=pool(1, 1, 1), horizon_sessions=horizon, warmup_sessions=0
+            )
 
     def test_replications_positive(self):
         with pytest.raises(ValueError):
@@ -129,13 +143,6 @@ class TestSimulate:
     def test_rounding_never_picks_out_of_range(self):
         # with u = 1 - 2**-53, x / a rounds up to M for (M, a) = (3, 17.8)
         # at T = 0, and x - M*a rounds up to T for (1, 0.7) at T = 3
-        class Replay:
-            def __init__(self, uniforms):
-                self.uniforms = uniforms
-
-            def random(self, size):
-                return np.array(self.uniforms)
-
         top = 1 - 2**-53
         assert _run_replication(pool(3, 2, 4, a=17.8), 1, 0, Replay([top])) == (
             0.0, 0.0, 0.0
@@ -145,71 +152,23 @@ class TestSimulate:
         ) == (0.0, 0.0, 0.0)
 
 
-class TestTrace:
-    def collect(self, sim):
-        events = []
-        simulate_trace(sim, lambda t, kind, vbs, total: events.append((t, kind, vbs, total)))
-        return events
+class TestAdmissionRule:
+    # with a = 1 and T sessions in service, u = 0.1 gives x = 0.1 * (M + T)
+    # < 1: an arrival at the first VBS, while T <= 7
 
-    def test_empty_horizon_no_events(self):
-        sim = SimConfig(pool=pool(2, 2, 3), horizon_sessions=0, warmup_sessions=0)
-        assert self.collect(sim) == []
+    def test_radio_full_vbs_blocks_below_full_pool(self):
+        # the first arrival is admitted; the second finds its VBS full
+        # (K = 1) with one of N = 2 c-servers free
+        assert _run_replication(pool(2, 1, 2), 2, 0, Replay([0.1, 0.1])) == (
+            0.5, 0.0, 0.5
+        )
 
-    def test_requires_single_replication(self):
-        sim = SimConfig(pool=pool(1, 1, 1), horizon_sessions=10, replications=2)
-        with pytest.raises(ValueError):
-            simulate_trace(sim, lambda *args: None)
-
-    def test_occupancy_never_violates_limits(self):
-        cfg = pool(3, 2, 4)
-        sim = SimConfig(pool=cfg, horizon_sessions=5000, warmup_sessions=0, seed=9)
-        occ = [0] * 3
-        for t, kind, vbs, total in self.collect(sim):
-            if kind == "arrival_admitted":
-                occ[vbs - 1] += 1
-            elif kind == "departure":
-                occ[vbs - 1] -= 1
-            assert sum(occ) == total
-            assert 0 <= total <= cfg.n_comp
-            assert all(0 <= k <= cfg.k_radio for k in occ)
-
-    def test_blocking_labels_match_model_rule(self):
-        cfg = pool(3, 2, 4)
-        sim = SimConfig(pool=cfg, horizon_sessions=5000, warmup_sessions=0, seed=21)
-        occ = [0] * 3
-        expected_label = {
-            Outcome.ADMIT: "arrival_admitted",
-            Outcome.RADIO_BLOCK: "arrival_radio_blocked",
-            Outcome.COMPUTE_BLOCK: "arrival_compute_blocked",
-        }
-        for t, kind, vbs, total in self.collect(sim):
-            if kind == "departure":
-                occ[vbs - 1] -= 1
-                continue
-            outcome = classify_blocking(cfg, StateVector(tuple(occ)), vbs)
-            assert kind == expected_label[outcome]
-            if kind == "arrival_admitted":
-                occ[vbs - 1] += 1
-
-    def test_times_are_nondecreasing(self):
-        sim = SimConfig(pool=pool(2, 2, 3), horizon_sessions=2000, warmup_sessions=0, seed=2)
-        times = [e[0] for e in self.collect(sim)]
-        assert all(x <= y for x, y in zip(times, times[1:]))
-
-    def test_first_event_is_pooled_poisson_arrival(self):
-        # the first event of M superposed Poisson(lam) streams is
-        # Exp(M * lam); KS-test the first-arrival sample over many seeds
-        m, lam = 4, 1.5
-        cfg = pool(m, 2, 8, lam=lam)
-        firsts = []
-        for seed in range(400):
-            sim = SimConfig(
-                pool=cfg, horizon_sessions=1, warmup_sessions=0, seed=seed
-            )
-            events = self.collect(sim)
-            firsts.append(events[0][0])
-        result = stats.kstest(firsts, "expon", args=(0, 1 / (m * lam)))
-        assert result.pvalue > 1e-3
+    def test_full_pool_blocks_before_radio(self):
+        # the second arrival finds both its VBS (K = 1) and the pool
+        # (N = 1) full, and counts as compute-blocked
+        assert _run_replication(pool(2, 1, 1), 2, 0, Replay([0.1, 0.1])) == (
+            0.0, 0.5, 0.5
+        )
 
 
 def test_import_leaves_scipy_stats_unloaded():
