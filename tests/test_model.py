@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from vbspool.model import (
@@ -10,6 +11,8 @@ from vbspool.model import (
     parse_config,
     state_space_size,
 )
+from vbspool.oracle import build_generator
+from vbspool.simulator import _run_replication
 
 
 def pool(m, k, n, a=1.0):
@@ -66,6 +69,100 @@ class TestStateVector:
         assert not StateVector((4, 0)).is_valid(cfg)  # entry above K
         assert not StateVector((3, 2)).is_valid(cfg)  # total above N
         assert not StateVector((1,)).is_valid(cfg)  # wrong length
+
+
+class ArrivalReplay:
+    """Stands in for the generator: every batch is the scripted uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        return np.array(self.uniforms)
+
+
+def outcome(cfg, occupancy, vbs):
+    """(radio, comp, total) blocked fraction of one arrival at `vbs`
+    (1-based) in the state `occupancy`, from the simulator loop.
+
+    With a = 1 and T sessions in service, u = (m + 0.5) / (M + T) is an
+    arrival at VBS m + 1; the scripted arrivals build `occupancy` with no
+    departure, and all but the last fall in the warm-up.
+    """
+    M = cfg.m_vbs
+    targets = [m for m, k in enumerate(occupancy) for _ in range(k)]
+    targets.append(vbs - 1)
+    uniforms = [(m + 0.5) / (M + t) for t, m in enumerate(targets)]
+    n = len(targets)
+    return _run_replication(cfg, n, n - 1, ArrivalReplay(uniforms))
+
+
+ADMIT = (0.0, 0.0, 0.0)
+RADIO_BLOCK = (1.0, 0.0, 1.0)
+COMPUTE_BLOCK = (0.0, 1.0, 1.0)
+
+
+def admits(cfg, state, vbs):
+    """True iff the generator has the arrival arc at `vbs` (1-based)."""
+    chain = build_generator(cfg)
+    up = list(state.occupancy)
+    up[vbs - 1] += 1
+    arcs = {
+        (chain.states[i].occupancy, chain.states[j].occupancy)
+        for i, j, _ in chain.rate_entries
+    }
+    return (state.occupancy, tuple(up)) in arcs
+
+
+class TestAdmission:
+    # the rule: admitted iff total < N and k_m < K; a full pool counts as
+    # compute-blocked, whether or not the VBS is radio-full too
+
+    def test_radio_full_vbs_blocks(self):
+        cfg = pool(2, 3, 4)
+        assert not admits(cfg, StateVector((3, 0)), 1)
+        assert outcome(cfg, (3, 0), 1) == RADIO_BLOCK
+
+    def test_empty_system_admits(self):
+        cfg = pool(2, 3, 4)
+        assert admits(cfg, StateVector((0, 0)), 1)
+        assert outcome(cfg, (0, 0), 1) == ADMIT
+
+    def test_full_pool_blocks_every_vbs(self):
+        cfg = pool(2, 3, 4)
+        assert not admits(cfg, StateVector((2, 2)), 1)
+        assert not admits(cfg, StateVector((2, 2)), 2)
+        assert outcome(cfg, (2, 2), 1) == COMPUTE_BLOCK
+        assert outcome(cfg, (2, 2), 2) == COMPUTE_BLOCK
+
+    def test_classify_compute_block(self):
+        assert outcome(pool(2, 3, 4), (3, 1), 2) == COMPUTE_BLOCK
+
+    def test_classify_radio_block(self):
+        assert outcome(pool(3, 3, 5), (3, 1, 0), 1) == RADIO_BLOCK
+
+    def test_classify_admit(self):
+        assert outcome(pool(3, 3, 5), (2, 1, 0), 1) == ADMIT
+
+    def test_compute_takes_precedence_over_radio(self):
+        # pool full and target VBS radio-full at once
+        assert outcome(pool(2, 3, 4), (3, 1), 1) == COMPUTE_BLOCK
+
+    def test_exactly_one_outcome_everywhere(self):
+        cfg = pool(3, 2, 4)
+        for occ in itertools.product(range(3), repeat=3):
+            s = StateVector(occ)
+            if not s.is_valid(cfg):
+                continue
+            for m in range(1, 4):
+                out = outcome(cfg, occ, m)
+                assert out in (ADMIT, RADIO_BLOCK, COMPUTE_BLOCK)
+                assert admits(cfg, s, m) == (out == ADMIT)
+                if out == COMPUTE_BLOCK:
+                    assert s.total == cfg.n_comp
+                elif out == RADIO_BLOCK:
+                    assert s.total < cfg.n_comp
+                    assert occ[m - 1] == cfg.k_radio
 
 
 class TestStateSpaceSize:
