@@ -111,10 +111,13 @@ class RecursionTable:
             raise ValueError(
                 f"n={n} out of range 0..{m * self.k_radio + 1} for m={m}"
             )
+        return float(self._below(m)[n])
+
+    def _below(self, m: int) -> np.ndarray:
         below = self._r.get(m)
         if below is None:
             below = self._r[m] = np.concatenate(([0.0], np.cumsum(self._column(m))))
-        return float(below[n])
+        return below
 
 
 @functools.lru_cache(maxsize=16)
@@ -139,21 +142,27 @@ def _reachable_weight(table: RecursionTable, m: int, n: int) -> float:
     return denom
 
 
+def _full_pool(m: int, k: int, a: float) -> tuple[float, float, float]:
+    """(p_radio, p_comp, p_total) at N = M*K, where the VBSs are
+    independent M/M/K/K systems with Erlang-B blocking B: p_total = B,
+    p_comp = B^M (every VBS full), and p_radio = B - B^M, computed
+    without cancellation."""
+    b = erlang_b(k, a)
+    p_radio = -b * math.expm1((m - 1) * math.log(b)) if m > 1 and b else 0.0
+    return p_radio, b**m, b
+
+
 def compute_blocking(config: PoolConfig) -> BlockingReport:
     """Exact blocking probabilities for one (M, K, N, a) instance.
 
     P0_hat = 1 / r(N+1, M); p_comp = P0_hat * c(N, M);
     p_radio = P0_hat * p_K * r(N-K, M-1) for N > K, else 0.
-    At N = M*K the VBSs are independent M/M/K/K systems with Erlang-B
-    blocking B: p_total = B, p_comp = B^M (every VBS full), and
-    p_radio = B - B^M, computed without cancellation. Raises ValueError
+    N = M*K is answered in closed form from Erlang-B. Raises ValueError
     where r(N+1, M) underflowed.
     """
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
     if n == m * k:
-        b = erlang_b(k, a)
-        p_radio = -b * math.expm1((m - 1) * math.log(b)) if m > 1 and b else 0.0
-        return BlockingReport(p_radio=p_radio, p_comp=b**m, p_total=b)
+        return BlockingReport(*_full_pool(m, k, a))
     table = get_table(k, a)
     denom = _reachable_weight(table, m, n)
     p_comp = table.c(n, m) / denom
@@ -162,9 +171,38 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
         p_radio = p_k * table.r(n - k, m - 1) / denom
     else:
         p_radio = 0.0
-    return BlockingReport(
-        p_radio=p_radio, p_comp=p_comp, p_total=p_radio + p_comp
-    )
+    return BlockingReport(p_radio, p_comp, p_radio + p_comp)
+
+
+def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, ...]:
+    """Arrays (N, p_radio, p_comp, p_total) over N descending from M*K,
+    read off columns M and M - 1, each row bit-identical to
+    compute_blocking. The rows end at the first N whose p_total exceeds
+    stop, that row included, or at N = 0. Raises ValueError where
+    r(N+1, M) underflowed within them; at the lowest N with a nonzero
+    weight p_comp = c/c = 1, so a stop below 1 ends there."""
+    if m < 1:
+        raise ValueError(f"pool size must be >= 1, got {m}")
+    nk = m * k
+    table = get_table(k, a)
+    below = table._below(m)
+    # below[N+1] = r(N+1, M) rises with N and is 0 exactly for N < lowest
+    lowest = min(int(np.searchsorted(below, 0.0, side="right")) - 1, nk)
+    n = np.arange(nk, lowest - 1, -1)
+    p_radio, p_comp, p_total = np.zeros((3, n.size))
+    p_radio[0], p_comp[0], p_total[0] = _full_pool(m, k, a)
+    rest, denom = n[1:], below[n[1:] + 1]
+    p_comp[1:] = table._column(m)[rest] / denom
+    j = np.count_nonzero(rest > k)  # the rows N > K lead, since N descends
+    if j:
+        p_k = float(table.poisson_pmf[k])
+        p_radio[1 : j + 1] = p_k * table._below(m - 1)[rest[:j] - k] / denom[:j]
+    p_total[1:] = p_radio[1:] + p_comp[1:]
+    over = np.flatnonzero(p_total > stop)
+    if not over.size and lowest > 0:
+        _reachable_weight(table, m, lowest - 1)  # r(N+1, M) = 0 there: raises
+    rows = over[0] + 1 if over.size else n.size
+    return n[:rows], p_radio[:rows], p_comp[:rows], p_total[:rows]
 
 
 def stationary_probability(config: PoolConfig, state: StateVector) -> float:

@@ -26,11 +26,7 @@ from .erlang import (
 )
 from .model import PoolConfig, TrafficModel, parse_config
 from .oracle import blocking_direct, build_generator, dump_edges
-from .planner import (
-    dimension_pool,
-    sweep_summary,
-    sweep_to_csv,
-)
+from .planner import dimension_pool, sweep_summary, sweep_to_csv
 from .simulator import SimConfig, simulate
 
 OUTDIR_ENV = "VBSPOOL_OUTDIR"
@@ -45,19 +41,18 @@ def _json_float(x: float) -> float | None:
     return None if math.isnan(x) else float(f"{x:.12g}")
 
 
+def _text(x) -> str:
+    """One record value as the human and csv formats write it."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
 def _emit(result: dict, params: dict, fmt: str, output: str | None):
     """Write one flat record in the requested format."""
-    if output:
-        out = open(output, "w")
-    else:
-        out = sys.stdout
+    out = open(output, "w") if output else sys.stdout
     try:
         if fmt == "human":
             for key, val in result.items():
-                if isinstance(val, float):
-                    out.write(f"{key} = {val:.12g}\n")
-                else:
-                    out.write(f"{key} = {val}\n")
+                out.write(f"{key} = {_text(val)}\n")
         elif fmt == "json":
             record = {
                 "version": __version__,
@@ -73,13 +68,7 @@ def _emit(result: dict, params: dict, fmt: str, output: str | None):
             meta = " ".join(f"{k}={v}" for k, v in params.items())
             out.write(f"# vbspool v{__version__} {meta}\n")
             out.write(",".join(result.keys()) + "\n")
-            out.write(
-                ",".join(
-                    f"{v:.12g}" if isinstance(v, float) else str(v)
-                    for v in result.values()
-                )
-                + "\n"
-            )
+            out.write(",".join(map(_text, result.values())) + "\n")
     finally:
         if output:
             out.close()
@@ -152,15 +141,15 @@ def cmd_blocking(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # compute every sweep first, so a failing pool size writes nothing
+    sweeps = [
+        dimension_pool(m, args.a, args.pth, full_descent=args.full_descent)
+        for m in args.m
+    ]
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    sweeps = []
-    for m in args.m:
-        sweep = dimension_pool(
-            m, args.a, args.pth, full_descent=args.full_descent
-        )
-        sweeps.append(sweep)
-        path = outdir / f"sweep_m{m}_a{args.a:g}_pth{args.pth:g}.csv"
+    for sweep in sweeps:
+        path = outdir / f"sweep_m{sweep.m_vbs}_a{args.a:g}_pth{args.pth:g}.csv"
         with open(path, "w") as f:
             sweep_to_csv(sweep, f, metadata=f"version={__version__}")
         print(f"wrote {path}")
@@ -222,7 +211,7 @@ def cmd_limit(args) -> int:
             "k": k,
             "lower": bounds.lower,
             "upper": bounds.upper,
-            "asymptote": asymptotic_utilization(k, args.a),
+            "full_pool_utilization": asymptotic_utilization(k, args.a),
         },
         {"a": args.a, "pth": args.pth},
         args.format,

@@ -79,6 +79,7 @@ def large_pool_limit(k_radio: int, a: float, p_threshold: float) -> LimitBounds:
 
 
 def asymptotic_utilization(k_radio: int, a: float) -> float:
-    """Exact asymptotic utilization E[k_m]/K; the interval of
-    large_pool_limit is this value with blocking relaxed to the threshold."""
+    """E[k_m]/K, the c-server utilization of a fully provisioned pool
+    (N = M*K) at any M. It is not the large-pool limit of normalized
+    n_min, which tends to a*(1 - p_th)/K, the lower end of large_pool_limit."""
     return truncated_poisson_mean(k_radio, a) / k_radio

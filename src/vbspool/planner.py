@@ -4,9 +4,10 @@ and pooling gain.
 The workflow mirrors how a pool is dimensioned in practice: first pick
 the smallest K meeting the blocking threshold with ample c-servers, then
 walk N down from M*K and watch the blocking curve for the knee below
-which computational blocking takes over. The pooling-gain study needs
-only n_min, which it finds by bisection on N: p_total falls strictly
-with N, so the curve crosses the threshold once.
+which computational blocking takes over. Both read one array blocking
+curve (analytic.blocking_curve). The pooling-gain study needs only
+n_min: p_total falls strictly with N, so the curve crosses the
+threshold once, and the descent stops at the first N above it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import IO
 
-from .analytic import compute_blocking
+from .analytic import blocking_curve
 from .erlang import LimitBounds, dimension_radio, erlang_b, large_pool_limit
-from .model import PoolConfig, TrafficModel
 
 # a sweep that is not a full descent stops after p_total passes this
 CEILING = 0.5
@@ -59,35 +59,18 @@ def dimension_pool(
     Stops early once p_total exceeds CEILING unless full_descent is
     set. n_min is the smallest N still meeting the threshold and
     pooling_gain = 1 - n_min / (M*K)."""
-    if m_vbs < 1:
-        raise ValueError(f"pool size must be >= 1, got {m_vbs}")
     k_radio = dimension_radio(a, p_threshold)
-    traffic = TrafficModel.from_load(a)
     nk = m_vbs * k_radio
-    points: list[SweepPoint] = []
-    n_min = nk
     stop = math.inf if full_descent else CEILING
-    for n in range(nk, -1, -1):
-        report = compute_blocking(PoolConfig(m_vbs, k_radio, n, traffic))
-        points.append(
-            SweepPoint(
-                n_comp=n,
-                normalized_n=n / nk,
-                p_radio=report.p_radio,
-                p_comp=report.p_comp,
-                p_total=report.p_total,
-            )
-        )
-        if report.p_total <= p_threshold:
-            n_min = n
-        if report.p_total > stop:
-            break
+    rows = zip(*(x.tolist() for x in blocking_curve(m_vbs, k_radio, a, stop)))
+    points = tuple(SweepPoint(n, n / nk, *probs) for n, *probs in rows)
+    n_min = min((p.n_comp for p in points if p.p_total <= p_threshold), default=nk)
     return SweepResult(
         m_vbs=m_vbs,
         k_radio=k_radio,
         a=a,
         p_threshold=p_threshold,
-        points=tuple(points),
+        points=points,
         n_min=n_min,
         pooling_gain=1.0 - n_min / nk,
         limit_bounds=(
@@ -110,28 +93,16 @@ def gain_vs_pool_size(
 ) -> list[tuple[int, int, float, float]]:
     """(M, n_min, normalized n_min, pooling_gain) per pool size.
 
-    n_min comes from bisection on N. By Little's law p_total =
-    1 - E[T]/(M*a) with E[T] <= N the mean occupancy, and E[T] rises
-    with N, so p_total falls strictly and misses p_th below M*a*(1-p_th)."""
+    The curve descends from N = M*K, where p_total is Erlang-B and within
+    the threshold by dimension_radio, and stops at the first N above the
+    threshold; n_min is one more. p_total falls strictly with N, so no
+    smaller N meets the threshold."""
     k_radio = dimension_radio(a, p_threshold)
-    traffic = TrafficModel.from_load(a)
     rows = []
     for m in m_list:
-        if m < 1:
-            raise ValueError(f"pool size must be >= 1, got {m}")
         nk = m * k_radio
-        # p_total(hi) <= p_threshold < p_total(lo). At N = M*K p_total is
-        # Erlang-B, within the threshold by dimension_radio; lo is one
-        # below the bound's last sure miss, a margin for its rounding
-        lo, hi = max(math.ceil(m * a * (1.0 - p_threshold)) - 2, -1), nk
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            report = compute_blocking(PoolConfig(m, k_radio, mid, traffic))
-            if report.p_total <= p_threshold:
-                hi = mid
-            else:
-                lo = mid
-        rows.append((m, hi, hi / nk, 1.0 - hi / nk))
+        n_min = int(blocking_curve(m, k_radio, a, p_threshold)[0][-1]) + 1
+        rows.append((m, n_min, n_min / nk, 1.0 - n_min / nk))
     return rows
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from vbspool.analytic import (
     RecursionTable,
+    blocking_curve,
     compute_blocking,
     get_table,
     stationary_probability,
@@ -302,6 +303,60 @@ class TestComputeBlocking:
         report = compute_blocking(pool(4, 2, 0))
         assert report.p_total == 1.0
         assert report.p_comp == 1.0
+
+
+class TestBlockingCurve:
+    @staticmethod
+    def assert_rows_are_compute_blocking(m, k, a, curve):
+        n, p_radio, p_comp, p_total = (x.tolist() for x in curve)
+        assert n == list(range(m * k, m * k - len(n), -1))
+        for row in zip(n, p_radio, p_comp, p_total):
+            report = compute_blocking(pool(m, k, row[0], a))
+            assert row[1:] == (report.p_radio, report.p_comp, report.p_total)
+
+    @staticmethod
+    def assert_stops_at_first_excess(curve, stop):
+        p_total = curve[3]
+        assert p_total[-1] > stop
+        assert (p_total[:-1] <= stop).all()
+
+    @pytest.mark.parametrize("m, k, a", [(1, 5, 3.0), (2, 5, 3.0), (10, 28, 17.8)])
+    def test_full_descent_is_compute_blocking_bit_for_bit(self, m, k, a):
+        # every row, N <= K (no radio term) and N = M*K (closed form) included
+        curve = blocking_curve(m, k, a, math.inf)
+        assert curve[0][-1] == 0
+        self.assert_rows_are_compute_blocking(m, k, a, curve)
+
+    def test_overloaded_pool_down_to_lowest_nonzero_weight(self):
+        # at M = 60 the weights are nonzero from N = 96 up; there
+        # r(N+1, M) = c(N, M), so p_comp = 1 exactly ends any stop below 1
+        curve = blocking_curve(60, 28, 17.8, 0.99)
+        assert curve[0][-1] == 96
+        assert curve[2][-1] == 1.0
+        self.assert_rows_are_compute_blocking(60, 28, 17.8, curve)
+        self.assert_stops_at_first_excess(curve, 0.99)
+
+    @pytest.mark.parametrize("stop", [1e-2, 0.5])
+    def test_early_stop_at_large_pool(self, stop):
+        curve = blocking_curve(1024, 28, 17.8, stop)
+        assert curve[0][-1] > 0
+        self.assert_rows_are_compute_blocking(1024, 28, 17.8, curve)
+        self.assert_stops_at_first_excess(curve, stop)
+
+    def test_stop_below_full_pool_blocking_keeps_one_row(self):
+        curve = blocking_curve(4, 8, 17.8, 0.5)
+        assert curve[0].tolist() == [32]
+        assert curve[3][0] == erlang_b(8, 17.8) > 0.5
+
+    def test_full_descent_into_underflow_raises_at_largest_n(self):
+        with pytest.raises(ValueError, match=r"underflow.*M=60, N=95\b"):
+            blocking_curve(60, 28, 17.8, math.inf)
+
+    def test_collapsed_column_raises_below_full_pool(self):
+        # at a = 17.8, K = 10 the capped pmf holds 0.0335 of the mass, and
+        # 0.0335^256 underflows every weight of column 256
+        with pytest.raises(ValueError, match=r"underflow.*M=256, N=2559\b"):
+            blocking_curve(256, 10, 17.8, 0.5)
 
 
 class TestStationaryProbability:

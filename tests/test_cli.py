@@ -198,9 +198,9 @@ class TestLimitCommand:
         assert values["k"] == "28"
         assert float(values["lower"]) == pytest.approx(17.8 * 0.99 / 28)
         assert float(values["upper"]) == pytest.approx(17.8 / 28)
-        assert float(values["lower"]) <= float(values["asymptote"]) <= float(
-            values["upper"]
-        )
+        assert float(values["lower"]) <= float(
+            values["full_pool_utilization"]
+        ) <= float(values["upper"])
 
     def test_light_load(self, capsys):
         code, out, _ = run(capsys, "limit", "--a", "1", "--pth", "0.5")
@@ -332,17 +332,21 @@ class TestSweepCommand:
 
     def test_underflow_exits_one(self, capsys, tmp_path):
         # the full descent at M = 60 reaches N where the recursion
-        # underflows; no placeholder row ,0,1,1 is written
-        code, out, err = run(
-            capsys,
-            "sweep", "--m", "60", "--a", "17.8", "--pth", "1e-2",
-            "--full-descent", "--outdir", str(tmp_path),
-        )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "underflow" in err and "M=60" in err
-        assert len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+        # underflows; no placeholder row ,0,1,1 is written, and with a
+        # good M = 10 before it no file is written for that one either
+        for pools in (["--m", "60"], ["--m", "10", "--m", "60"]):
+            outdir = tmp_path / str(len(pools))
+            outdir.mkdir()
+            code, out, err = run(
+                capsys,
+                "sweep", *pools, "--a", "17.8", "--pth", "1e-2",
+                "--full-descent", "--outdir", str(outdir),
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "underflow" in err and "M=60" in err
+            assert len(err.splitlines()) == 1
+            assert list(outdir.iterdir()) == []
 
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VBSPOOL_OUTDIR", str(tmp_path))

@@ -141,9 +141,10 @@ def test_full_descent_sweep_matches_exact(m):
 
 @pytest.mark.parametrize("m", [10, 30])
 def test_p_total_monotone_and_above_little_bound(m):
-    # the two facts gain_vs_pool_size bisects on: p_total(N) falls
-    # strictly with N, and p_total(N) >= 1 - N/(M*a) since the mean
-    # occupancy E[T] = M*a*(1 - p_total) is at most N
+    # p_total(N) falls strictly with N, so the first N above p_th on
+    # gain_vs_pool_size's descent from M*K lies just below n_min; and
+    # p_total(N) >= 1 - N/(M*a) since the mean occupancy
+    # E[T] = M*a*(1 - p_total) is at most N (Little's law)
     rows = exact_curve(m, level_counts(m, K))
     for (r0, c0, d0), (r1, c1, d1) in zip(rows, rows[1:]):
         assert (r1 + c1) * d0 < (r0 + c0) * d1

@@ -167,6 +167,13 @@ class TestGainVsPoolSize:
         assert dimension_pool(m, 1.0, 0.5).n_min == m
         assert gain_vs_pool_size([m], 1.0, 0.5) == [(m, m, 1.0, 0.0)]
 
+    @pytest.mark.parametrize("m", [2, 30, 256, 1024])
+    @pytest.mark.parametrize("a, pth", [(17.8, 1e-2), (17.8, 1e-3), (40.0, 2e-2)])
+    def test_entry_points_agree(self, m, a, pth):
+        # the sweep's smallest N within p_th against the study's first N
+        # above it, plus one: both read the same curve
+        assert dimension_pool(m, a, pth).n_min == gain_vs_pool_size([m], a, pth)[0][1]
+
     def test_underflow_is_domain_error(self):
         # at a = 17.8, p_th = 0.5 (K = 10) the capped pmf holds 0.0335 of
         # the mass, and 0.0335^256 underflows every weight of column 256,
