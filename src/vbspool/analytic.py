@@ -31,11 +31,16 @@ class RecursionTable:
     c(n, m) is the probability that m i.i.d. Poisson(a) variables, each
     capped at K, sum to exactly n (weight of the total-occupancy level);
     r(n, m) is the same with sum strictly below n. Column m of c is the
-    m-fold convolution of the capped pmf, built only when read, as column
-    h convolved with column m - h, where h is m with its lowest set bit
-    cleared (h = m/2 for a power of two). Reading column M builds at most
-    2*log2(M) columns. The split depends only on m, so a column's bits
-    depend only on (K, a, m), never on which columns were read before.
+    m-fold convolution of the capped pmf, built only when read: an even
+    column is column m - 1 convolved with the pmf, an odd one column
+    (m - 1)/2 convolved with column (m + 1)/2. A query reads columns M
+    and M - 1. Columns j and j + 1 with j odd split into the pair
+    (j - 1)/2, (j + 1)/2 at one full-size convolution, so M = 2**i costs
+    one per halving (20 columns for M = 1024). From an even j they need
+    three columns of the next halving, and no M costs more than two
+    full-size convolutions per halving. The split depends only on m, so
+    a column's bits depend only on (K, a, m), never on which columns
+    were read before.
     Built columns are kept, and the cumulative sums behind r only for
     the columns r reads.
 
@@ -78,9 +83,10 @@ class RecursionTable:
     def _column(self, m: int) -> np.ndarray:
         col = self._c.get(m)
         if col is None:
-            low = m & -m
-            h = m - low if m != low else m // 2
-            x, y = self._column(h), self._column(m - h)
+            if m % 2:
+                x, y = self._column(m // 2), self._column(m // 2 + 1)
+            else:
+                x, y = self._column(m - 1), self.poisson_pmf
             col = np.zeros(m * self.k_radio + 1)
             nx, ny = np.flatnonzero(x), np.flatnonzero(y)
             if nx.size and ny.size:

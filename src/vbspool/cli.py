@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Thin wrappers over the library: `blocking`, `sweep`, `simulate`, `limit`,
-`dimension`, and `oracle`. Exit codes: 0 success, 1 domain error (or, for
-`oracle`, engines that disagree), 2 usage error. Every emitted file or
+`dimension`, and `oracle`. Exit codes: 0 success, 1 domain error, bad
+flag value or file that cannot be read or written (or, for `oracle`,
+engines that disagree), 2 usage error. Every emitted file or
 record echoes the parameters that produced it, so figures can be
 regenerated from the artifact alone.
 """
@@ -172,6 +173,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _pool_from_args(args)
+    # SimConfig checks these too, but its messages name its fields
+    if args.sessions < 1:
+        raise ValueError(
+            f"--sessions (horizon_sessions) must be >= 1, got {args.sessions}"
+        )
+    if args.warmup is not None and not 0 <= args.warmup < args.sessions:
+        raise ValueError(
+            f"--warmup must be in 0..{args.sessions - 1} (below --sessions), "
+            f"got {args.warmup}"
+        )
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     sim = SimConfig(
         pool=config,
         horizon_sessions=args.sessions,
@@ -348,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

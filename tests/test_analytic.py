@@ -179,6 +179,17 @@ class TestColumnsOnDemand:
             assert x[0] != 0.0 and x[-1] != 0.0
             assert np.all((x == 0.0) | (np.abs(x) >= tiny))
 
+    def test_study_convolves_once_per_halving(self, convolve_operands):
+        # columns M and M - 1 split into a consecutive pair again, so the
+        # study to M = 2**10 makes at most one convolution per halving
+        # whose operands are both wider than the pmf (K + 1 = 29 entries);
+        # the rest convolve with the pmf
+        get_table.cache_clear()
+        gain_vs_pool_size([2**i for i in range(1, 11)], 17.8, 1e-2)
+        pairs = list(zip(convolve_operands[::2], convolve_operands[1::2]))
+        assert sum(min(x.size, y.size) > 29 for x, y in pairs) <= 10
+        assert len(pairs) <= 20
+
     @pytest.mark.parametrize("m", [1024, 4096])
     def test_full_mass_is_pmf_mass_to_the_power(self, m):
         # r(M*K + 1, M) sums column M: the probability that no VBS

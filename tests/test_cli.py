@@ -189,6 +189,25 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "horizon_sessions" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--sessions", "0"], "--sessions"),
+            (["--sessions", "10", "--warmup", "10"], "--warmup"),
+            (["--sessions", "10", "--warmup", "-1"], "--warmup"),
+            (["--sessions", "10", "--reps", "0"], "--reps"),
+        ],
+    )
+    def test_bad_run_flag_is_named(self, capsys, flags, flag):
+        code, out, err = run(
+            capsys,
+            "simulate", "--m", "2", "--k", "3", "--n", "4", "--a", "1", *flags,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} ")
+        assert len(err.splitlines()) == 1
+
 
 class TestLimitCommand:
     def test_dimensioned_limit(self, capsys):
@@ -362,6 +381,54 @@ class TestSweepCommand:
         )
         assert code == 0
         assert len(list(tmp_path.glob("sweep_m*.csv"))) == 2
+
+
+class TestFileErrors:
+    # a path that cannot be read or written is one error line, exit 1
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys,
+            "blocking", "--m", "2", "--k", "3", "--n", "4", "--a", "1",
+            "--output", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert len(err.splitlines()) == 1
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.cfg"
+        code, out, err = run(capsys, "blocking", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert len(err.splitlines()) == 1
+
+    def test_outdir_below_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys,
+            "sweep", "--m", "2", "--a", "1", "--pth", "0.5",
+            "--outdir", str(blocker / "sub"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    def test_edge_dump_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "edges.txt"
+        code, out, err = run(
+            capsys,
+            "oracle", "--m", "1", "--k", "2", "--n", "2", "--a", "1",
+            "--dump-edges", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert len(err.splitlines()) == 1
 
 
 class TestExitCodes:

@@ -1,7 +1,9 @@
 import gc
 import io
 import json
+import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -163,9 +165,21 @@ class TestGainVsPoolSize:
     @pytest.mark.parametrize("m", [64, 512])
     def test_tie_case_entry_points_agree_on_exact_answer(self, m):
         # at N = M*K p_total is Erlang-B(1, 1) = 0.5 <= p_th exactly and
-        # every smaller N blocks more, so both entry points give M*K
-        assert dimension_pool(m, 1.0, 0.5).n_min == m
-        assert gain_vs_pool_size([m], 1.0, 0.5) == [(m, m, 1.0, 0.0)]
+        # every smaller N blocks more, but by less than half an ulp of
+        # 0.5 for N near M*K (2.7e-20 at M = 64, N = 63): a correctly
+        # rounded curve reads 0.5 there. Both entry points give the same
+        # n_min, and the exact p_total of every N from it up to M*K
+        # rounds to p_th. With K = 1 and a = 1 level n weighs C(M, n); an
+        # arrival at one VBS is blocked at level N, or when that VBS is
+        # busy and the other M - 1 hold fewer than N - 1.
+        n_min = dimension_pool(m, 1.0, 0.5).n_min
+        assert gain_vs_pool_size([m], 1.0, 0.5) == [
+            (m, n_min, n_min / m, 1 - n_min / m)
+        ]
+        for n in range(n_min, m):
+            reachable = sum(math.comb(m, j) for j in range(n + 1))
+            blocked = math.comb(m, n) + sum(math.comb(m - 1, j) for j in range(n - 1))
+            assert float(Fraction(blocked, reachable)) == 0.5, n
 
     @pytest.mark.parametrize("m", [2, 30, 256, 1024])
     @pytest.mark.parametrize("a, pth", [(17.8, 1e-2), (17.8, 1e-3), (40.0, 2e-2)])
