@@ -40,9 +40,9 @@ class RecursionTable:
     three columns of the next halving, and no M costs more than two
     full-size convolutions per halving. The split depends only on m, so
     a column's bits depend only on (K, a, m), never on which columns
-    were read before.
-    Built columns are kept, and the cumulative sums behind r only for
-    the columns r reads.
+    were read before. Column 0 is the empty pool, [1.0]: a pool of one
+    VBS reads it as column M - 1. Built columns are kept, and the
+    cumulative sums behind r only for the columns r reads.
 
     Only the nonzero span of each operand is convolved, and the product
     lands at the sum of the spans' offsets in a zero column of full
@@ -77,7 +77,7 @@ class RecursionTable:
         for i in range(start, 0, -1):
             p[i - 1] = p[i] * i / a
         self.poisson_pmf = p
-        self._c: dict[int, np.ndarray] = {1: p}
+        self._c: dict[int, np.ndarray] = {0: np.ones(1), 1: p}
         self._r: dict[int, np.ndarray] = {}
 
     def _column(self, m: int) -> np.ndarray:
@@ -139,7 +139,7 @@ def _reachable_weight(table: RecursionTable, m: int, n: int) -> float:
     denominator of every probability. Raises ValueError where it
     underflowed to 0, since every ratio over it would be 0/0 (exact
     p_comp at M=60, K=28, N=40, a=17.8: 0.962583)."""
-    denom = table.r(n + 1, m)
+    denom = float(table._below(m)[n + 1])
     if denom == 0.0:
         raise ValueError(
             f"the normalized weight of the reachable states underflowed "
@@ -158,33 +158,37 @@ def _full_pool(m: int, k: int, a: float) -> tuple[float, float, float]:
     return p_radio, b**m, b
 
 
+def _blocking(table: RecursionTable, m: int, n):
+    """(p_radio, p_comp) at N = n below M*K, for an int or an int array:
+    p_comp = c(N, M) / r(N+1, M) and p_radio = p_K r(N-K, M-1) / r(N+1, M).
+    For N <= K the radio index is 0 and r(0, M-1) = 0, M = 1 included."""
+    k = table.k_radio
+    denom = table._below(m)[n + 1]
+    p_comp = table._column(m)[n] / denom
+    p_radio = table.poisson_pmf[k] * table._below(m - 1)[(n > k) * (n - k)] / denom
+    return p_radio, p_comp
+
+
 def compute_blocking(config: PoolConfig) -> BlockingReport:
     """Exact blocking probabilities for one (M, K, N, a) instance.
 
-    P0_hat = 1 / r(N+1, M); p_comp = P0_hat * c(N, M);
-    p_radio = P0_hat * p_K * r(N-K, M-1) for N > K, else 0.
-    N = M*K is answered in closed form from Erlang-B. Raises ValueError
-    where r(N+1, M) underflowed.
+    N = M*K is answered in closed form from Erlang-B, every other N by
+    _blocking. Raises ValueError where r(N+1, M) underflowed.
     """
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
     if n == m * k:
         return BlockingReport(*_full_pool(m, k, a))
     table = get_table(k, a)
-    denom = _reachable_weight(table, m, n)
-    p_comp = table.c(n, m) / denom
-    if n > k:
-        p_k = float(table.poisson_pmf[k])
-        p_radio = p_k * table.r(n - k, m - 1) / denom
-    else:
-        p_radio = 0.0
-    return BlockingReport(p_radio, p_comp, p_radio + p_comp)
+    _reachable_weight(table, m, n)
+    p_radio, p_comp = _blocking(table, m, n)
+    return BlockingReport(float(p_radio), float(p_comp), float(p_radio + p_comp))
 
 
 def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, ...]:
     """Arrays (N, p_radio, p_comp, p_total) over N descending from M*K,
-    read off columns M and M - 1, each row bit-identical to
-    compute_blocking. The rows end at the first N whose p_total exceeds
-    stop, that row included, or at N = 0. Raises ValueError where
+    row for row as compute_blocking: N = M*K in closed form, every other
+    N by _blocking on arrays. The rows end at the first N whose p_total
+    exceeds stop, that row included, or at N = 0. Raises ValueError where
     r(N+1, M) underflowed within them; at the lowest N with a nonzero
     weight p_comp = c/c = 1, so a stop below 1 ends there."""
     if m < 1:
@@ -197,12 +201,7 @@ def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, .
     n = np.arange(nk, lowest - 1, -1)
     p_radio, p_comp, p_total = np.zeros((3, n.size))
     p_radio[0], p_comp[0], p_total[0] = _full_pool(m, k, a)
-    rest, denom = n[1:], below[n[1:] + 1]
-    p_comp[1:] = table._column(m)[rest] / denom
-    j = np.count_nonzero(rest > k)  # the rows N > K lead, since N descends
-    if j:
-        p_k = float(table.poisson_pmf[k])
-        p_radio[1 : j + 1] = p_k * table._below(m - 1)[rest[:j] - k] / denom[:j]
+    p_radio[1:], p_comp[1:] = _blocking(table, m, n[1:])
     p_total[1:] = p_radio[1:] + p_comp[1:]
     over = np.flatnonzero(p_total > stop)
     if not over.size and lowest > 0:

@@ -10,6 +10,7 @@ VBS has a free r-server and the pool has a free c-server.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -44,8 +45,10 @@ class TrafficModel:
 class PoolConfig:
     """One model instance: (M, K, N) plus traffic.
 
-    n_comp > m_vbs * k_radio is accepted but clamped to m_vbs * k_radio:
-    provisioning c-servers beyond the r-server total is vacuous.
+    M, K and N are Python or numpy integers; a float or a bool is
+    refused. n_comp > m_vbs * k_radio is accepted but clamped to
+    m_vbs * k_radio: provisioning c-servers beyond the r-server total is
+    vacuous.
     """
 
     m_vbs: int
@@ -54,6 +57,13 @@ class PoolConfig:
     traffic: TrafficModel
 
     def __post_init__(self):
+        for name in ("m_vbs", "k_radio", "n_comp"):
+            value = getattr(self, name)
+            # a plain int skips the slower ABC check
+            if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m_vbs < 1:
             raise ValueError(f"m_vbs must be >= 1, got {self.m_vbs}")
         if self.k_radio < 1:

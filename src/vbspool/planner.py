@@ -5,9 +5,9 @@ The workflow mirrors how a pool is dimensioned in practice: first pick
 the smallest K meeting the blocking threshold with ample c-servers, then
 walk N down from M*K and watch the blocking curve for the knee below
 which computational blocking takes over. Both read one array blocking
-curve (analytic.blocking_curve). The pooling-gain study needs only
-n_min: p_total falls strictly with N, so the curve crosses the
-threshold once, and the descent stops at the first N above it.
+curve (analytic.blocking_curve). n_min has one rule, the study's, which
+the sweep reuses: p_total falls strictly with N, so the curve crosses
+the threshold once, and the descent stops at the first N above it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import IO
 
 from .analytic import blocking_curve
-from .erlang import LimitBounds, dimension_radio, erlang_b, large_pool_limit
+from .erlang import LimitBounds, dimension_radio, large_pool_limit
 
-# a sweep that is not a full descent stops after p_total passes this
+# a sweep that is not a full descent stops after p_total passes this or p_th
 CEILING = 0.5
 
 
@@ -56,15 +56,15 @@ def dimension_pool(
 ) -> SweepResult:
     """Dimension K for the threshold, then sweep N from M*K downward.
 
-    Stops early once p_total exceeds CEILING unless full_descent is
-    set. n_min is the smallest N still meeting the threshold and
-    pooling_gain = 1 - n_min / (M*K)."""
+    Stops early once p_total exceeds max(CEILING, p_threshold) unless
+    full_descent is set, so the points hold the threshold crossing.
+    n_min and pooling_gain = 1 - n_min / (M*K) are gain_vs_pool_size's."""
     k_radio = dimension_radio(a, p_threshold)
     nk = m_vbs * k_radio
-    stop = math.inf if full_descent else CEILING
+    stop = math.inf if full_descent else max(CEILING, p_threshold)
     rows = zip(*(x.tolist() for x in blocking_curve(m_vbs, k_radio, a, stop)))
     points = tuple(SweepPoint(n, n / nk, *probs) for n, *probs in rows)
-    n_min = min((p.n_comp for p in points if p.p_total <= p_threshold), default=nk)
+    [(_, n_min, _, pooling_gain)] = gain_vs_pool_size([m_vbs], a, p_threshold)
     return SweepResult(
         m_vbs=m_vbs,
         k_radio=k_radio,
@@ -72,7 +72,7 @@ def dimension_pool(
         p_threshold=p_threshold,
         points=points,
         n_min=n_min,
-        pooling_gain=1.0 - n_min / nk,
+        pooling_gain=pooling_gain,
         limit_bounds=(
             large_pool_limit(k_radio, a, p_threshold) if a <= k_radio else None
         ),
@@ -138,5 +138,5 @@ def sweep_summary(sweep: SweepResult) -> dict:
         "pooling_gain": sweep.pooling_gain,
         "limit_lower": None if bounds is None else bounds.lower,
         "limit_upper": None if bounds is None else bounds.upper,
-        "p_total_at_full": erlang_b(sweep.k_radio, sweep.a),
+        "p_total_at_full": sweep.points[0].p_total,
     }

@@ -324,8 +324,9 @@ class TestSweepCommand:
         assert row["limit_lower"] is None and row["limit_upper"] is None
 
     def test_one_point_sweep_writes_summary(self, capsys, tmp_path):
-        # K = 8 puts p_total(N = M*K) = 0.586 above the ceiling: each
-        # sweep holds one point and its knee is M*K
+        # K = 8 puts p_total(N = M*K) = 0.586 above the 0.5 ceiling but
+        # within p_th = 0.6: the sweep runs on past the crossing, so the
+        # knee at M = 4 is 30, not M*K (TestKneePoint in test_planner)
         code, _, _ = run(
             capsys,
             "sweep", "--m", "1", "--m", "4", "--a", "17.8", "--pth", "0.6",
@@ -336,7 +337,7 @@ class TestSweepCommand:
         summary = json.loads(
             next(tmp_path.glob("sweep_summary_*.json")).read_text()
         )
-        assert [row["knee"] for row in summary["sweeps"]] == [8, 32]
+        assert [row["knee"] for row in summary["sweeps"]] == [8, 30]
 
     def test_pool_size_below_one_is_domain_error(self, capsys, tmp_path):
         code, out, err = run(

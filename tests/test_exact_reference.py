@@ -25,7 +25,7 @@ import pytest
 from vbspool.analytic import compute_blocking
 from vbspool.erlang import dimension_radio
 from vbspool.model import PoolConfig, TrafficModel
-from vbspool.planner import dimension_pool, gain_vs_pool_size
+from vbspool.planner import dimension_pool, gain_vs_pool_size, knee_point
 
 A_NUM, A_DEN = 89, 5  # a = 89/5
 K = 28
@@ -177,3 +177,31 @@ def test_m60_matches_exact_above_overloaded_band():
             rel_err(report.p_total, (radio + comp) / den),
         )
     assert worst <= 1e-12, f"worst relative error {worst:.3e}"
+
+
+@pytest.mark.parametrize(
+    "m, k, p_th, n_min", [(4, 8, "0.6", 30), (10, 6, "0.7", 55), (30, 9, "0.55", 244)]
+)
+def test_n_min_above_the_sweep_ceiling_matches_exact(m, k, p_th, n_min):
+    # p_th above the early-stopping sweep's 0.5 ceiling, so a sweep cut
+    # at the ceiling would stop above the crossing
+    th = Fraction(p_th)
+    rows = exact_curve(m, level_counts(m, k), k)
+    exact = next(
+        n for n in range(m * k + 1)
+        if all(radio + comp <= th * den for radio, comp, den in rows[n:])
+    )
+    assert exact == n_min
+    assert dimension_radio(17.8, float(th)) == k
+    for full in (False, True):
+        assert dimension_pool(m, 17.8, float(th), full_descent=full).n_min == n_min
+    assert gain_vs_pool_size([m], 17.8, float(th))[0][1] == n_min
+
+
+def test_knee_above_the_sweep_ceiling_matches_exact():
+    # the knee is the largest N where p_comp exceeds p_radio; at
+    # (M, K, p_th) = (4, 8, 0.6) it lies below where the 0.5 ceiling stops
+    rows = exact_curve(4, level_counts(4, 8), 8)
+    knee = max(n for n, (radio, comp, _) in enumerate(rows) if comp > radio)
+    assert knee == 30
+    assert knee_point(dimension_pool(4, 17.8, 0.6)) == knee

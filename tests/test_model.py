@@ -57,6 +57,20 @@ class TestPoolConfig:
         with pytest.raises(ValueError):
             pool(m, k, n)
 
+    @pytest.mark.parametrize(
+        "m,k,n,field",
+        [(2, 3, 4.0, "n_comp"), (2, 3.5, 4, "k_radio"), (2, 3, True, "n_comp"),
+         (2.0, 3, 4, "m_vbs")],
+    )
+    def test_rejects_non_integer_sizes(self, m, k, n, field):
+        # refused by name before any arithmetic on the value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            pool(m, k, n)
+
+    def test_numpy_integers_are_accepted(self):
+        config = pool(np.int64(2), np.int32(3), np.uint8(4))
+        assert (config.m_vbs, config.k_radio, config.n_comp) == (2, 3, 4)
+
 
 class TestStateVector:
     def test_total_is_cached(self):

@@ -80,6 +80,17 @@ class TestDimensionPool:
         for p in sweep.points:
             assert p.normalized_n == p.n_comp / (2 * sweep.k_radio)
 
+    def test_p_total_at_full_is_erlang_b_exactly(self):
+        # the summary reads p_total at N = M*K off the curve's first row
+        cases = [(1, 17.8, 1e-2), (10, 17.8, 1e-2), (1, 1.0, 0.5),
+                 (5, 3.0, 1e-2), (4, 3.0, 1e-2), (2, 1.0, 0.5)]
+        for m, a, pth in cases:
+            for full in (False, True):
+                sweep = dimension_pool(m, a, pth, full_descent=full)
+                b = erlang_b(sweep.k_radio, a)
+                assert sweep.points[0].p_total == b
+                assert sweep_summary(sweep)["p_total_at_full"] == b
+
 
 class TestKneePoint:
     def test_single_vbs_knee_at_top(self):
@@ -117,13 +128,17 @@ class TestKneePoint:
         assert knee_point(truncated) == full.m_vbs * full.k_radio
 
     def test_one_point_sweep_knee_is_full_provisioning(self):
-        # K = 8: p_total(N = M*K) = 0.586 is already above the ceiling,
-        # so the sweep stops after its first point
+        # K = 8: p_total(N = M*K) = 0.586 is above the 0.5 ceiling but
+        # within p_th = 0.6, so the sweep runs on to the first N above
+        # p_th. Exact (test_exact_reference): p_total(30) = 0.598736 <=
+        # 0.6 < p_total(29) = 0.608951, p_comp(30) = 0.3371 >
+        # p_radio(30) = 0.2616, p_comp(31) = 0.2400 < p_radio(31) = 0.3505
         sweep = dimension_pool(4, 17.8, 0.6)
         assert sweep.k_radio == 8
-        assert len(sweep.points) == 1
-        assert knee_point(sweep) == 32
-        assert sweep_summary(sweep)["knee"] == 32
+        assert [p.n_comp for p in sweep.points] == [32, 31, 30, 29]
+        assert sweep.n_min == 30
+        assert knee_point(sweep) == 30
+        assert sweep_summary(sweep)["knee"] == 30
 
 
 class TestGainVsPoolSize:

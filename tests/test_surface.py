@@ -3,7 +3,8 @@
 A public name passes if code under src/vbspool refers to it outside its
 own definition, or if README's "Library" section names it as
 `vbspool.<module>.<name>`. A name with neither is surface kept alive only
-by the tests.
+by the tests. Likewise every name a module imports is read in it, unless
+the import is marked `# noqa: F401`.
 """
 
 import ast
@@ -53,6 +54,25 @@ def unreferenced(sources: dict, documented: set) -> list:
     ]
 
 
+def unused_imports(text: str) -> list:
+    """Names a module imports and never reads as a bare name, skipping
+    `from __future__` and import statements marked `# noqa: F401`."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        marked = lines[node.lineno - 1 : node.end_lineno]
+        if getattr(node, "module", None) == "__future__" or any(
+            "# noqa: F401" in line for line in marked
+        ):
+            continue
+        imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
 def documented_names() -> set:
     section = README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
     return set(re.findall(r"vbspool\.(\w+)\.(\w+)", section))
@@ -78,3 +98,25 @@ def test_unused_and_self_recursive_helpers_are_caught():
     }
     assert unreferenced(sources, set()) == ["b.loop", "b.Kept"]
     assert unreferenced(sources, {("b", "Kept")}) == ["b.loop"]
+
+
+def test_every_import_is_read():
+    unused = {
+        p.stem: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))
+    }
+    assert {mod: names for mod, names in unused.items() if names} == {}
+
+
+def test_unused_imports_are_caught():
+    text = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import inf, pi\n"
+        "from . import kept  # noqa: F401\n"
+        "from .erlang import (  # noqa: F401\n"
+        "    erlang_b,\n"
+        ")\n"
+        "x = np.zeros(1) + inf\n"
+    )
+    assert unused_imports(text) == ["os", "pi"]
