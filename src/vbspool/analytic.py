@@ -158,15 +158,20 @@ def _full_pool(m: int, k: int, a: float) -> tuple[float, float, float]:
     return p_radio, b**m, b
 
 
-def _blocking(table: RecursionTable, m: int, n):
-    """(p_radio, p_comp) at N = n below M*K, for an int or an int array:
-    p_comp = c(N, M) / r(N+1, M) and p_radio = p_K r(N-K, M-1) / r(N+1, M).
-    For N <= K the radio index is 0 and r(0, M-1) = 0, M = 1 included."""
+def _blocking(table: RecursionTable, m: int, n, denom):
+    """(p_radio, p_comp) at N = n below M*K, for an int N with its
+    denominator r(N+1, M) as a float, or for an int array with the array
+    of them: p_comp = c(N, M) / r(N+1, M) and
+    p_radio = p_K r(N-K, M-1) / r(N+1, M). For N <= K the radio index is
+    0 and r(0, M-1) = 0, M = 1 included. An int N reads Python floats,
+    whose arithmetic is quicker than numpy's on scalars and rounds the
+    same."""
     k = table.k_radio
-    denom = table._below(m)[n + 1]
-    p_comp = table._column(m)[n] / denom
-    p_radio = table.poisson_pmf[k] * table._below(m - 1)[(n > k) * (n - k)] / denom
-    return p_radio, p_comp
+    p_k, level = table.poisson_pmf[k], table._column(m)[n]
+    rest = table._below(m - 1)[(n > k) * (n - k)]
+    if not isinstance(n, np.ndarray):
+        p_k, level, rest = float(p_k), float(level), float(rest)
+    return p_k * rest / denom, level / denom
 
 
 def compute_blocking(config: PoolConfig) -> BlockingReport:
@@ -179,9 +184,8 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
     if n == m * k:
         return BlockingReport(*_full_pool(m, k, a))
     table = get_table(k, a)
-    _reachable_weight(table, m, n)
-    p_radio, p_comp = _blocking(table, m, n)
-    return BlockingReport(float(p_radio), float(p_comp), float(p_radio + p_comp))
+    p_radio, p_comp = _blocking(table, m, n, _reachable_weight(table, m, n))
+    return BlockingReport(p_radio, p_comp, p_radio + p_comp)
 
 
 def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, ...]:
@@ -201,7 +205,7 @@ def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, .
     n = np.arange(nk, lowest - 1, -1)
     p_radio, p_comp, p_total = np.zeros((3, n.size))
     p_radio[0], p_comp[0], p_total[0] = _full_pool(m, k, a)
-    p_radio[1:], p_comp[1:] = _blocking(table, m, n[1:])
+    p_radio[1:], p_comp[1:] = _blocking(table, m, n[1:], below[n[1:] + 1])
     p_total[1:] = p_radio[1:] + p_comp[1:]
     over = np.flatnonzero(p_total > stop)
     if not over.size and lowest > 0:

@@ -81,11 +81,19 @@ def dimension_pool(
 
 def knee_point(sweep: SweepResult) -> int:
     """Largest N at which computational blocking first exceeds radio
-    blocking when descending from M*K; M*K if no crossover in the sweep."""
+    blocking when descending from M*K. When the sweep's rows hold no
+    crossover, the curve is read on below them to the first N whose
+    p_total rounds to 1. There nearly every session is blocked, which
+    radio blocking cannot do with a c-server free, so p_comp leads; at
+    the lowest N with a nonzero weight p_comp is 1, so the read ends
+    there at the latest and raises nothing."""
     for pt in sweep.points:
         if pt.p_comp > pt.p_radio:
             return pt.n_comp
-    return sweep.m_vbs * sweep.k_radio
+    n, p_radio, p_comp, _ = blocking_curve(
+        sweep.m_vbs, sweep.k_radio, sweep.a, math.nextafter(1.0, 0.0)
+    )
+    return int(n[(p_comp > p_radio).argmax()])
 
 
 def gain_vs_pool_size(

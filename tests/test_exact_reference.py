@@ -25,6 +25,7 @@ import pytest
 from vbspool.analytic import compute_blocking
 from vbspool.erlang import dimension_radio
 from vbspool.model import PoolConfig, TrafficModel
+from vbspool.oracle import blocking_direct
 from vbspool.planner import dimension_pool, gain_vs_pool_size, knee_point
 
 A_NUM, A_DEN = 89, 5  # a = 89/5
@@ -205,3 +206,33 @@ def test_knee_above_the_sweep_ceiling_matches_exact():
     knee = max(n for n, (radio, comp, _) in enumerate(rows) if comp > radio)
     assert knee == 30
     assert knee_point(dimension_pool(4, 17.8, 0.6)) == knee
+
+
+def test_knee_below_the_sweep_rows_matches_exact():
+    # at (M, K, p_th) = (30, 9, 0.55) radio blocking leads on every row
+    # of the early-stopping sweep (N = 270 down to 243), so the knee is
+    # read from the curve below them
+    rows = exact_curve(30, level_counts(30, 9), 9)
+    knee = max(n for n, (radio, comp, _) in enumerate(rows) if comp > radio)
+    assert knee == 237
+    sweep = dimension_pool(30, 17.8, 0.55)
+    assert all(pt.p_comp <= pt.p_radio for pt in sweep.points)
+    assert sweep.points[-1].n_comp > knee
+    assert knee_point(sweep) == knee
+
+
+@pytest.mark.parametrize("m, k, n", [(60, 28, 16), (60, 6, 20)])
+def test_oracle_matches_exact_where_the_recursion_refuses(m, k, n):
+    # the reachable weight underflows in the recursion; the lumped chain
+    # has 915 and 1513 states
+    config = PoolConfig(m, k, n, TrafficModel.from_load(17.8))
+    with pytest.raises(ValueError, match="underflowed"):
+        compute_blocking(config)
+    report = blocking_direct(config)
+    radio, comp, den = exact_curve(m, level_counts(m, k), k)[n]
+    worst = max(
+        rel_err(report.p_radio, radio / den),
+        rel_err(report.p_comp, comp / den),
+        rel_err(report.p_total, (radio + comp) / den),
+    )
+    assert worst <= 1e-12, f"worst relative error {worst:.3e}"

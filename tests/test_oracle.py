@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ import pytest
 from vbspool.analytic import compute_blocking, stationary_probability
 from vbspool.erlang import erlang_b
 from vbspool.model import PoolConfig, StateVector, TrafficModel
+from vbspool import oracle
 from vbspool.oracle import (
     EnumeratedChain,
     blocking_direct,
     build_generator,
+    build_lumped_generator,
     dump_edges,
     enumerate_states,
     solve_stationary,
@@ -187,6 +191,63 @@ class TestLevelOrderedSolve:
         )
         with pytest.raises(ValueError, match="level"):
             solve_stationary(chain)
+
+
+class TestLumpedChain:
+    def test_rates_scale_with_the_histogram(self):
+        # (1, 1, 0): two VBSs hold one session, one holds none
+        chain = build_lumped_generator(pool(3, 2, 4, lam=0.7, mu=2.0))
+        rates = {
+            (chain.states[i].occupancy, chain.states[j].occupancy): r
+            for i, j, r in chain.rate_entries
+        }
+        out = {dst: r for (src, dst), r in rates.items() if src == (1, 1, 0)}
+        assert out == {(2, 1, 0): 2 * 0.7, (1, 1, 1): 0.7, (1, 0, 0): 2 * 2.0}
+        # total == N: departures only, from the value-2 VBS at 2 * mu
+        # and from the two value-1 VBSs at 2 * mu
+        out = {dst: r for (src, dst), r in rates.items() if src == (2, 1, 1)}
+        assert out == {(1, 1, 1): 4.0, (2, 1, 0): 4.0}
+
+    @pytest.mark.parametrize("a", [0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("m, k, n", [(3, 3, 6), (4, 5, 20), (3, 6, 10)])
+    def test_orbit_sums_equal_lumped_pi(self, m, k, n, a):
+        cfg = pool(m, k, n, a=a)
+        labelled = build_generator(cfg)
+        lumped = build_lumped_generator(cfg)
+        orbit_sums = defaultdict(float)
+        for s, p in zip(labelled.states, solve_stationary(labelled)):
+            orbit_sums[tuple(sorted(s.occupancy, reverse=True))] += p
+        orbits = [s.occupancy for s in lumped.states]
+        assert orbits == sorted(orbit_sums)
+        assert oracle._orbit_count(cfg) == len(orbits)
+        pi = solve_stationary(lumped)
+        want = np.array([orbit_sums[o] for o in orbits])
+        assert np.all(np.abs(pi - want) <= 1e-14 * want)
+
+    def test_cap_refused_before_any_state_is_built(self, monkeypatch):
+        # orbits (x, y) with 2000 >= x >= y and x + y <= 2000: the sum over
+        # s <= 2000 of floor(s / 2) + 1 is 1002001, above the cap of 10^6
+        def no_state(occupancy):
+            raise AssertionError(f"state {occupancy[:3]}... was built")
+
+        monkeypatch.setattr(oracle, "StateVector", no_state)
+        with pytest.raises(ValueError, match="1002001"):
+            blocking_direct(pool(2, 2000, 2000))
+
+
+class TestSolveMemory:
+    def test_peak_is_well_below_a_dense_matrix(self):
+        # the parent's dense rate matrix alone took 8 n^2 bytes
+        chain = build_generator(pool(4, 5, 20, a=3.0))
+        n = len(chain.states)
+        assert n == 1296
+        tracemalloc.start()
+        try:
+            solve_stationary(chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 3
 
 
 class TestBlockingDirect:

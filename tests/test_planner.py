@@ -112,7 +112,9 @@ class TestKneePoint:
         by_n = {p.n_comp: p for p in sweep.points}
         assert by_n[knee].p_comp > by_n[knee].p_radio
 
-    def test_sentinel_when_sweep_stops_above_crossover(self):
+    def test_knee_read_below_a_sweep_that_stops_above_crossover(self):
+        # the rows above the knee hold no crossover, so the knee is read
+        # from the curve below them
         full = dimension_pool(10, 17.8, 1e-2, full_descent=True)
         knee = knee_point(full)
         truncated = SweepResult(
@@ -125,7 +127,8 @@ class TestKneePoint:
             pooling_gain=full.pooling_gain,
             limit_bounds=full.limit_bounds,
         )
-        assert knee_point(truncated) == full.m_vbs * full.k_radio
+        assert knee < full.m_vbs * full.k_radio
+        assert knee_point(truncated) == knee
 
     def test_one_point_sweep_knee_is_full_provisioning(self):
         # K = 8: p_total(N = M*K) = 0.586 is above the 0.5 ceiling but
