@@ -107,21 +107,6 @@ class StateVector:
         )
 
 
-def state_space_size(config: PoolConfig) -> int:
-    """Count of occupancy vectors with every entry <= K and sum <= N."""
-    K, N = config.k_radio, config.n_comp
-    # DP over VBSs on the total-occupancy distribution
-    ways = [1] + [0] * N
-    for _ in range(config.m_vbs):
-        nxt = [0] * (N + 1)
-        for s, w in enumerate(ways):
-            if w:
-                for k in range(min(K, N - s) + 1):
-                    nxt[s + k] += w
-        ways = nxt
-    return sum(ways)
-
-
 def parse_config(text: str) -> PoolConfig:
     """Parse the key-value config format.
 

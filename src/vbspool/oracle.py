@@ -18,9 +18,8 @@ total N, p_radio over those below N, weighted by h_K / M.
 The lumped chain is built from the admission rule and the rates alone,
 never from the product form the recursion rests on, so the oracle stays
 independent of analytic and the two engines still check each other.
-blocking_direct solves the lumped chain. The labelled chain
-(enumerate_states, build_generator) is the reference the lumped one is
-tested against, and the edge list `vbspool oracle --dump-edges` writes.
+It is the only chain built here: blocking_direct solves it, and
+`vbspool oracle --dump-edges` writes its edge list.
 
 Every transition moves the total occupancy (the level) by exactly one,
 so with states ordered by level the generator is block-tridiagonal. The
@@ -38,7 +37,7 @@ from typing import IO
 
 import numpy as np
 
-from .model import BlockingReport, PoolConfig, StateVector, state_space_size
+from .model import BlockingReport, PoolConfig, StateVector
 
 STATE_CAP = 10**6
 # orbit counts saturate here, far above any cap
@@ -51,54 +50,6 @@ class EnumeratedChain:
 
     states: list[StateVector]
     rate_entries: list[tuple[int, int, float]]
-
-
-def enumerate_states(config: PoolConfig) -> list[StateVector]:
-    """All states with entries <= K and sum <= N, in lexicographic order."""
-    size = state_space_size(config)
-    if size > STATE_CAP:
-        raise ValueError(
-            f"state space has {size} states, above the cap of {STATE_CAP}"
-        )
-    K, N, M = config.k_radio, config.n_comp, config.m_vbs
-    states: list[StateVector] = []
-    prefix = [0] * M
-
-    def extend(pos: int, used: int):
-        if pos == M:
-            states.append(StateVector(tuple(prefix)))
-            return
-        for k in range(min(K, N - used) + 1):
-            prefix[pos] = k
-            extend(pos + 1, used + k)
-        prefix[pos] = 0
-
-    extend(0, 0)
-    return states
-
-
-def build_generator(config: PoolConfig) -> EnumeratedChain:
-    """Transition rates of the labelled chain: lambda per admitted
-    arrival, k_m * mu per departure.
-
-    An arrival at VBS m is admitted iff the pool has a free c-server
-    (total < N) and the VBS a free r-server (k_m < K).
-    """
-    states = enumerate_states(config)
-    index = {s.occupancy: i for i, s in enumerate(states)}
-    K, N = config.k_radio, config.n_comp
-    lam, mu = config.traffic.lam, config.traffic.mu
-    entries: list[tuple[int, int, float]] = []
-    for i, s in enumerate(states):
-        occ = s.occupancy
-        for m in range(config.m_vbs):
-            if s.total < N and occ[m] < K:
-                up = occ[:m] + (occ[m] + 1,) + occ[m + 1:]
-                entries.append((i, index[up], lam))
-            if occ[m] > 0:
-                down = occ[:m] + (occ[m] - 1,) + occ[m + 1:]
-                entries.append((i, index[down], occ[m] * mu))
-    return EnumeratedChain(states=states, rate_entries=entries)
 
 
 def _orbit_count(config: PoolConfig) -> int:

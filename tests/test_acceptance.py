@@ -25,9 +25,11 @@ from vbspool.erlang import (
     erlang_b,
 )
 from vbspool.model import PoolConfig, TrafficModel
-from vbspool.oracle import blocking_direct, build_generator, solve_stationary
+from vbspool.oracle import blocking_direct, solve_stationary
 from vbspool.planner import dimension_pool, gain_vs_pool_size, knee_point
 from vbspool.simulator import SimConfig, simulate
+
+from labelled import build_generator
 
 GRID = [
     (m, k, n, a)

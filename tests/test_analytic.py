@@ -16,8 +16,10 @@ from vbspool.analytic import (
 )
 from vbspool.erlang import erlang_b
 from vbspool.model import PoolConfig, StateVector, TrafficModel
-from vbspool.oracle import blocking_direct, enumerate_states
+from vbspool.oracle import blocking_direct
 from vbspool.planner import gain_vs_pool_size
+
+from labelled import enumerate_states
 
 
 def pool(m, k, n, a=1.0):

@@ -8,7 +8,7 @@ from vbspool.analytic import compute_blocking
 from vbspool.cli import main
 from vbspool.erlang import erlang_b
 from vbspool.model import PoolConfig, TrafficModel
-from vbspool.oracle import blocking_direct
+from vbspool.oracle import blocking_direct, build_lumped_generator
 
 
 def run(capsys, *argv):
@@ -268,15 +268,20 @@ class TestOracleCommand:
         assert err.startswith("error:") and "disagree" in err
         assert len(err.splitlines()) == 1
 
-    def test_underflow_exits_one(self, capsys):
+    def test_underflow_reports_the_oracle_alone(self, capsys):
         # r(N+1, M) underflows to 0: there is no recursion value to
-        # compare the oracle's p_comp = 0.9990005 against
+        # compare the oracle's p_comp = 0.9990005 against, so the record
+        # carries the oracle's answer and a null deviation
         code, out, err = run(
-            capsys, "oracle", "--m", "2", "--k", "30", "--n", "2", "--a", "1000"
+            capsys, "oracle", "--m", "2", "--k", "30", "--n", "2", "--a", "1000",
+            "--format", "json",
         )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "underflow" in err
+        assert code == 0
+        result = json.loads(out)["result"]
+        want = blocking_direct(PoolConfig(2, 30, 2, TrafficModel.from_load(1000)))
+        assert result["p_comp"] == float(f"{want.p_comp:.12g}")
+        assert result["max_relative_deviation"] is None
+        assert err.startswith("warning:") and "underflow" in err
         assert "disagree" not in err
         assert len(err.splitlines()) == 1
 
@@ -290,6 +295,34 @@ class TestOracleCommand:
         assert code == 0
         lines = path.read_text().splitlines()
         assert len(lines) == 4  # birth-death chain on {0,1,2}
+
+    def test_edge_dump_is_the_lumped_chain(self, capsys, tmp_path):
+        # the chain blocking_direct solves: one state per orbit, held as
+        # its non-increasing vector, with rates h * lambda and h * v * mu
+        path = tmp_path / "edges.txt"
+        code, _, _ = run(
+            capsys,
+            "oracle", "--m", "2", "--k", "3", "--n", "4", "--a", "1",
+            "--dump-edges", str(path),
+        )
+        assert code == 0
+        cfg = PoolConfig(2, 3, 4, TrafficModel.from_load(1))
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(build_lumped_generator(cfg).rate_entries) == 18
+        for line in lines:
+            src, dst, rate = line.split()
+            src = tuple(map(int, src.split(",")))
+            dst = tuple(map(int, dst.split(",")))
+            for state in (src, dst):
+                assert list(state) == sorted(state, reverse=True)
+            # one entry moves: one of the h VBSs holding v gains or
+            # loses a session
+            (v,) = [x for x, y in zip(src, dst) if x != y]
+            h = src.count(v)
+            if sum(dst) > sum(src):
+                assert float(rate) == h * cfg.traffic.lam
+            else:
+                assert float(rate) == h * v * cfg.traffic.mu
 
 
 class TestSweepCommand:

@@ -17,12 +17,14 @@ These tests are the evidence behind acceptance criteria 5 and 6: the
 curves and dimensioning points those criteria judge are exact.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from vbspool.analytic import compute_blocking
+from vbspool.cli import main
 from vbspool.erlang import dimension_radio
 from vbspool.model import PoolConfig, TrafficModel
 from vbspool.oracle import blocking_direct
@@ -236,3 +238,18 @@ def test_oracle_matches_exact_where_the_recursion_refuses(m, k, n):
         rel_err(report.p_total, (radio + comp) / den),
     )
     assert worst <= 1e-12, f"worst relative error {worst:.3e}"
+
+
+def test_oracle_command_answers_where_the_recursion_refuses(capsys):
+    # the recursion underflows at (60, 28, 16); the command reports the
+    # oracle's answer with no deviation, and exits 0
+    code = main(
+        ["oracle", "--m", "60", "--k", "28", "--n", "16", "--a", "17.8",
+         "--format", "json"]
+    )
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["max_relative_deviation"] is None
+    radio, comp, den = exact_curve(60, level_counts(60, 28))[16]
+    assert abs(result["p_radio"] - radio / den) <= 1e-12
+    assert abs(result["p_comp"] - comp / den) <= 1e-12

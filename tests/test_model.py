@@ -9,10 +9,11 @@ from vbspool.model import (
     StateVector,
     TrafficModel,
     parse_config,
-    state_space_size,
 )
-from vbspool.oracle import build_generator
+from vbspool.oracle import build_lumped_generator
 from vbspool.simulator import _run_replication
+
+from labelled import state_space_size
 
 
 def pool(m, k, n, a=1.0):
@@ -117,15 +118,18 @@ COMPUTE_BLOCK = (0.0, 1.0, 1.0)
 
 
 def admits(cfg, state, vbs):
-    """True iff the generator has the arrival arc at `vbs` (1-based)."""
-    chain = build_generator(cfg)
+    """True iff the oracle's lumped generator has the arrival arc at
+    `vbs` (1-based): from the orbit of `state` to the orbit of the state
+    with one more session at `vbs`, each its non-increasing vector."""
+    chain = build_lumped_generator(cfg)
     up = list(state.occupancy)
     up[vbs - 1] += 1
     arcs = {
         (chain.states[i].occupancy, chain.states[j].occupancy)
         for i, j, _ in chain.rate_entries
     }
-    return (state.occupancy, tuple(up)) in arcs
+    orbit = tuple(sorted(state.occupancy, reverse=True))
+    return (orbit, tuple(sorted(up, reverse=True))) in arcs
 
 
 class TestAdmission:

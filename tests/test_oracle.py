@@ -12,12 +12,12 @@ from vbspool import oracle
 from vbspool.oracle import (
     EnumeratedChain,
     blocking_direct,
-    build_generator,
     build_lumped_generator,
     dump_edges,
-    enumerate_states,
     solve_stationary,
 )
+
+from labelled import build_generator, enumerate_states
 
 
 def pool(m, k, n, a=1.0, lam=None, mu=1.0):
@@ -298,7 +298,7 @@ class TestEdgeDump:
         assert lines == ["0 1 2.0", "1 0 1.0"]
 
     def test_round_trip_rates(self):
-        chain = build_generator(pool(2, 2, 3, a=0.5))
+        chain = build_lumped_generator(pool(2, 2, 3, a=0.5))
         buf = io.StringIO()
         dump_edges(chain, buf)
         parsed = []
