@@ -128,16 +128,22 @@ def _pool_params(config: PoolConfig) -> dict:
 def cmd_blocking(args) -> int:
     config = _pool_from_args(args)
     report = compute_blocking(config)
-    _emit(
-        {
-            "p_radio": report.p_radio,
-            "p_comp": report.p_comp,
-            "p_total": report.p_total,
-        },
-        _pool_params(config),
-        args.format,
-        args.output,
-    )
+    result = {
+        "p_radio": report.p_radio,
+        "p_comp": report.p_comp,
+        "p_total": report.p_total,
+    }
+    _emit(result, _pool_params(config), args.format, args.output)
+    # p_comp and p_total are positive at every N, p_radio iff N > K
+    for name, value in result.items():
+        if value < sys.float_info.min and (
+            name != "p_radio" or config.n_comp > config.k_radio
+        ):
+            print(
+                f"warning: {name} = {value:.12g} is below the normal range; "
+                f"the true value is positive and this one has lost its digits",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -246,7 +252,8 @@ def cmd_dimension(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = _pool_from_args(args)
-    direct = blocking_direct(config)
+    chain = build_lumped_generator(config)
+    direct = blocking_direct(chain)
     try:
         recursive = compute_blocking(config)
     except ValueError as exc:
@@ -265,7 +272,7 @@ def cmd_oracle(args) -> int:
         )
     if args.dump_edges:
         with open(args.dump_edges, "w") as f:
-            dump_edges(build_lumped_generator(config), f)
+            dump_edges(chain, f)
     _emit(
         {
             "p_radio": direct.p_radio,

@@ -46,8 +46,9 @@ _SATURATED = 2**61
 
 @dataclass
 class EnumeratedChain:
-    """Explicit CTMC: states and sparse rate triples."""
+    """Explicit CTMC of a pool: its states and sparse rate triples."""
 
+    config: PoolConfig
     states: list[StateVector]
     rate_entries: list[tuple[int, int, float]]
 
@@ -118,7 +119,7 @@ def build_lumped_generator(config: PoolConfig) -> EnumeratedChain:
                 down = occ[:last] + (v - 1,) + occ[last + 1:]
                 entries.append((i, index[down], h * v * mu))
             first += h
-    return EnumeratedChain(states=states, rate_entries=entries)
+    return EnumeratedChain(config=config, states=states, rate_entries=entries)
 
 
 def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
@@ -196,16 +197,18 @@ def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
     return pi[position]
 
 
-def blocking_direct(config: PoolConfig) -> BlockingReport:
+def blocking_direct(pool: PoolConfig | EnumeratedChain) -> BlockingReport:
     """Blocking probabilities as literal sums over the stationary vector
-    of the lumped chain.
+    of the lumped chain, given the pool or the chain already built from
+    it by build_lumped_generator.
 
     p_comp sums pi over the orbits with total == N; p_radio sums, over
     the orbits with total < N, pi times h_K / M, the share of VBSs that
     are radio-full.
     """
-    chain = build_lumped_generator(config)
+    chain = pool if isinstance(pool, EnumeratedChain) else build_lumped_generator(pool)
     pi = solve_stationary(chain)
+    config = chain.config
     K, N, M = config.k_radio, config.n_comp, config.m_vbs
     p_comp = 0.0
     p_radio_sum = 0.0

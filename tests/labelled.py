@@ -71,4 +71,4 @@ def build_generator(config: PoolConfig) -> EnumeratedChain:
             if occ[m] > 0:
                 down = occ[:m] + (occ[m] - 1,) + occ[m + 1:]
                 entries.append((i, index[down], occ[m] * mu))
-    return EnumeratedChain(states=states, rate_entries=entries)
+    return EnumeratedChain(config=config, states=states, rate_entries=entries)

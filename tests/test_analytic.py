@@ -9,6 +9,7 @@ import pytest
 
 from vbspool.analytic import (
     RecursionTable,
+    _square,
     blocking_curve,
     compute_blocking,
     get_table,
@@ -181,16 +182,24 @@ class TestColumnsOnDemand:
             assert x[0] != 0.0 and x[-1] != 0.0
             assert np.all((x == 0.0) | (np.abs(x) >= tiny))
 
-    def test_study_convolves_once_per_halving(self, convolve_operands):
-        # columns M and M - 1 split into a consecutive pair again, so the
-        # study to M = 2**10 makes at most one convolution per halving
-        # whose operands are both wider than the pmf (K + 1 = 29 entries);
-        # the rest convolve with the pmf
+    def test_study_multiply_adds_are_bounded(self, convolve_operands):
+        # an odd column is square(column m // 2) convolved with the pmf,
+        # and a square multiplies each pair of distinct terms once: the
+        # study to M = 2**10 makes 4.75e7 multiply-adds, where convolving
+        # columns (m - 1)/2 and (m + 1)/2 made 7.98e7
         get_table.cache_clear()
         gain_vs_pool_size([2**i for i in range(1, 11)], 17.8, 1e-2)
-        pairs = list(zip(convolve_operands[::2], convolve_operands[1::2]))
-        assert sum(min(x.size, y.size) > 29 for x, y in pairs) <= 10
-        assert len(pairs) <= 20
+        pairs = zip(convolve_operands[::2], convolve_operands[1::2])
+        assert sum(x.size * y.size for x, y in pairs) <= 5.0e7
+
+    def test_pair_read_multiply_adds_are_bounded(self, convolve_operands):
+        # columns 2047 and 2046 from a fresh table: 1.96e8 multiply-adds,
+        # where convolving columns (m - 1)/2 and (m + 1)/2 made 3.50e8
+        table = RecursionTable(28, 17.8)
+        table.r(0, 2047)
+        table.r(0, 2046)
+        pairs = zip(convolve_operands[::2], convolve_operands[1::2])
+        assert sum(x.size * y.size for x, y in pairs) <= 2.2e8
 
     @pytest.mark.parametrize("m", [1024, 4096])
     def test_full_mass_is_pmf_mass_to_the_power(self, m):
@@ -226,6 +235,31 @@ class TestColumnsOnDemand:
         finally:
             tracemalloc.stop()
         assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestSquare:
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1025, 4097])
+    def test_equals_direct_convolution(self, n):
+        # sizes below, at and above the split into halves, odd and even
+        x = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        got, want = _square(x), np.convolve(x, x)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_column_matches_extended_precision_sequential_build(self):
+        # column 1024 as 1023 sequential convolutions of the same float pmf
+        # in extended precision: the squares keep every normal entry
+        # within 5e-14 (2.3e-14; convolving columns 511 and 512 gave 1.7e-14)
+        table = RecursionTable(28, 17.8)
+        pmf = table.poisson_pmf.astype(np.longdouble)
+        want = pmf
+        for _ in range(1023):
+            want = np.convolve(want, pmf)
+        got = column(table, 1024)
+        normal = got >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) > 9000
+        err = np.abs(got[normal] - want[normal]) / want[normal]
+        assert err.max() <= 5e-14
 
 
 class TestEdgeLoads:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from vbspool import cli
+from vbspool import cli, oracle
 from vbspool.analytic import compute_blocking
 from vbspool.cli import main
 from vbspool.erlang import erlang_b
@@ -124,6 +124,29 @@ class TestBlocking:
                 main(["blocking", "--m", "2", "--k", "3", "--n", "4",
                       *traffic, "--mu", "2"])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", [22591, 28000])
+    def test_zero_below_normal_range_warns(self, capsys, n):
+        # p_comp is positive at every N, but it underflows to 0 at
+        # N = 22591 and, as B^M, at N = M*K; the record is unchanged
+        code, out, err = run(
+            capsys, "blocking", "--m", "1000", "--k", "28", "--n", str(n),
+            "--a", "17.8",
+        )
+        assert code == 0
+        assert "p_comp = 0\n" in out
+        (line,) = err.splitlines()
+        assert line.startswith("warning: p_comp = 0 ")
+        assert "normal range" in line
+
+    def test_paper_point_prints_no_warning(self, capsys):
+        code, out, err = run(
+            capsys, "blocking", "--m", "30", "--k", "28", "--n", "600",
+            "--a", "17.8",
+        )
+        assert code == 0
+        assert "p_comp = 0.000144397645071" in out
+        assert err == ""
 
     def test_zero_service_rate_is_domain_error(self, capsys):
         code, out, err = run(
@@ -284,6 +307,24 @@ class TestOracleCommand:
         assert err.startswith("warning:") and "underflow" in err
         assert "disagree" not in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_builds_the_chain_once(self, capsys, tmp_path, monkeypatch, dump):
+        # the dump writes the chain blocking_direct solved
+        builds = []
+
+        def spy(config):
+            builds.append(config)
+            return build_lumped_generator(config)
+
+        monkeypatch.setattr(oracle, "build_lumped_generator", spy)
+        monkeypatch.setattr(cli, "build_lumped_generator", spy)
+        argv = ["oracle", "--m", "2", "--k", "3", "--n", "4", "--a", "1"]
+        if dump:
+            argv += ["--dump-edges", str(tmp_path / "edges.txt")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(builds) == 1
 
     def test_edge_dump(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"

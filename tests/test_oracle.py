@@ -186,6 +186,7 @@ class TestLevelOrderedSolve:
 
     def test_two_level_jump_is_refused(self):
         chain = EnumeratedChain(
+            config=pool(1, 2, 2),
             states=enumerate_states(pool(1, 2, 2)),
             rate_entries=[(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 1.0)],
         )

@@ -8,7 +8,10 @@ the import is marked `# noqa: F401`.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import vbspool
@@ -76,6 +79,21 @@ def unused_imports(text: str) -> list:
 def documented_names() -> set:
     section = README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
     return set(re.findall(r"vbspool\.(\w+)\.(\w+)", section))
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # every vbspool command pays for what `import vbspool.cli` loads;
+    # scipy is imported where it is called. The site hooks of the
+    # environment may load sitecustomize, certifi or _distutils_hack.
+    allowed = {"vbspool", "numpy", "sitecustomize", "usercustomize",
+               "certifi", "_distutils_hack"}
+    code = "import sys, vbspool.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    top = {name.split(".")[0] for name in proc.stdout.split()} - {"__main__"}
+    assert top - set(sys.stdlib_module_names) - allowed == set()
 
 
 def test_every_public_name_has_a_caller_or_is_documented():
