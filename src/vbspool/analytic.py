@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .erlang import erlang_b
-from .model import BlockingReport, PoolConfig, StateVector
+from .model import BlockingReport, PoolConfig
 
 # column spans are scaled by 2**SPAN_SCALE before they are convolved
 SPAN_SCALE = 510
@@ -255,17 +255,3 @@ def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, .
         _reachable_weight(table, m, lowest - 1)  # r(N+1, M) = 0 there: raises
     rows = over[0] + 1 if over.size else n.size
     return n[:rows], p_radio[:rows], p_comp[:rows], p_total[:rows]
-
-
-def stationary_probability(config: PoolConfig, state: StateVector) -> float:
-    """Product-form stationary probability of one state. Raises
-    ValueError where r(N+1, M) underflowed."""
-    if not state.is_valid(config):
-        raise ValueError(f"state {state.occupancy} not in state space")
-    m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
-    table = get_table(k, a)
-    pmf = table.poisson_pmf
-    weight = 1.0
-    for km in state.occupancy:
-        weight *= pmf[km]
-    return float(weight) / _reachable_weight(table, m, n)

@@ -125,6 +125,18 @@ def _pool_params(config: PoolConfig) -> dict:
     }
 
 
+def _below_normal(probs, n_comp: int, k_radio: int) -> list[tuple[str, float]]:
+    """(name, value) of each of probs.p_radio, p_comp and p_total that
+    is below the normal range although its true value is positive: p_comp
+    and p_total are positive at every N, p_radio iff N > K."""
+    return [
+        (name, value)
+        for name in ("p_radio", "p_comp", "p_total")
+        if (value := getattr(probs, name)) < sys.float_info.min
+        and (name != "p_radio" or n_comp > k_radio)
+    ]
+
+
 def cmd_blocking(args) -> int:
     config = _pool_from_args(args)
     report = compute_blocking(config)
@@ -134,16 +146,12 @@ def cmd_blocking(args) -> int:
         "p_total": report.p_total,
     }
     _emit(result, _pool_params(config), args.format, args.output)
-    # p_comp and p_total are positive at every N, p_radio iff N > K
-    for name, value in result.items():
-        if value < sys.float_info.min and (
-            name != "p_radio" or config.n_comp > config.k_radio
-        ):
-            print(
-                f"warning: {name} = {value:.12g} is below the normal range; "
-                f"the true value is positive and this one has lost its digits",
-                file=sys.stderr,
-            )
+    for name, value in _below_normal(report, config.n_comp, config.k_radio):
+        print(
+            f"warning: {name} = {value:.12g} is below the normal range; "
+            f"the true value is positive and this one has lost its digits",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -160,6 +168,15 @@ def cmd_sweep(args) -> int:
         with open(path, "w") as f:
             sweep_to_csv(sweep, f, metadata=f"version={__version__}")
         print(f"wrote {path}")
+        lost = sum(
+            bool(_below_normal(pt, pt.n_comp, sweep.k_radio)) for pt in sweep.points
+        )
+        if lost:
+            print(
+                f"warning: m={sweep.m_vbs}: {lost} rows hold a probability "
+                f"below the normal range; those values have lost their digits",
+                file=sys.stderr,
+            )
     summary_path = outdir / f"sweep_summary_a{args.a:g}_pth{args.pth:g}.json"
     with open(summary_path, "w") as f:
         json.dump(

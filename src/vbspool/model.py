@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -86,25 +86,6 @@ class BlockingReport:
     p_radio: float
     p_comp: float
     p_total: float
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Occupancy vector k = (k_1, ..., k_M) with its total."""
-
-    occupancy: tuple[int, ...]
-    total: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "total", sum(self.occupancy))
-
-    def is_valid(self, config: PoolConfig) -> bool:
-        """Membership in the constrained state space of config."""
-        return (
-            len(self.occupancy) == config.m_vbs
-            and all(0 <= k <= config.k_radio for k in self.occupancy)
-            and self.total <= config.n_comp
-        )
 
 
 def parse_config(text: str) -> PoolConfig:

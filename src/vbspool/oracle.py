@@ -19,25 +19,28 @@ The lumped chain is built from the admission rule and the rates alone,
 never from the product form the recursion rests on, so the oracle stays
 independent of analytic and the two engines still check each other.
 It is the only chain built here: blocking_direct solves it, and
-`vbspool oracle --dump-edges` writes its edge list.
+`vbspool oracle --dump-edges` writes its edge list. A state is its
+occupancy vector, a plain tuple.
 
 Every transition moves the total occupancy (the level) by exactly one,
 so with states ordered by level the generator is block-tridiagonal. The
-solve eliminates states level by level and touches only the two levels a
-state is still coupled to: the subtraction-free state reduction of
+chain stores its states in that order, and the solve eliminates them
+level by level and touches only the two levels a state is still
+coupled to: the subtraction-free state reduction of
 Grassmann, Taksar & Heyman (Oper. Res. 33, 1985) applied as linear level
 reduction (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16, 1984).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import IO
 
 import numpy as np
 
-from .model import BlockingReport, PoolConfig, StateVector
+from .model import BlockingReport, PoolConfig
 
 STATE_CAP = 10**6
 # orbit counts saturate here, far above any cap
@@ -46,10 +49,11 @@ _SATURATED = 2**61
 
 @dataclass
 class EnumeratedChain:
-    """Explicit CTMC of a pool: its states and sparse rate triples."""
+    """Explicit CTMC of a pool: its occupancy vectors in level order
+    (by total, lexicographic within a total) and sparse rate triples."""
 
     config: PoolConfig
-    states: list[StateVector]
+    states: list[tuple[int, ...]]
     rate_entries: list[tuple[int, int, float]]
 
 
@@ -76,7 +80,7 @@ def _orbit_count(config: PoolConfig) -> int:
 
 def build_lumped_generator(config: PoolConfig) -> EnumeratedChain:
     """The chain lumped over VBS relabelling: one state per orbit, held
-    as its non-increasing occupancy vector, in lexicographic order.
+    as its non-increasing occupancy vector, in level order.
 
     The h_v VBSs holding v sessions share each rate: an arrival at one
     of them is admitted iff the pool has a free c-server (total < N) and
@@ -95,23 +99,24 @@ def build_lumped_generator(config: PoolConfig) -> EnumeratedChain:
     lam, mu = config.traffic.lam, config.traffic.mu
     # grown entry by entry; once an entry or the room left is 0, the
     # rest of the vector is zeros
-    states: list[StateVector] = []
+    states: list[tuple[int, ...]] = []
     stack = [((), 0)]
     while stack:
         head, used = stack.pop()
         top = min(head[-1] if head else K, N - used)
         if top == 0 or len(head) == M:
-            states.append(StateVector(head + (0,) * (M - len(head))))
+            states.append(head + (0,) * (M - len(head)))
         else:
             stack.extend((head + (v,), used + v) for v in range(top, -1, -1))
-    index = {s.occupancy: i for i, s in enumerate(states)}
+    states.sort(key=lambda s: (sum(s), s))
+    index = {occ: i for i, occ in enumerate(states)}
     entries: list[tuple[int, int, float]] = []
-    for i, s in enumerate(states):
-        occ = s.occupancy
+    for i, occ in enumerate(states):
+        admits = sum(occ) < N
         first = 0
         for v, run in groupby(occ):
             h = len(tuple(run))
-            if s.total < N and v < K:
+            if admits and v < K:
                 up = occ[:first] + (v + 1,) + occ[first + 1:]
                 entries.append((i, index[up], h * lam))
             if v > 0:
@@ -131,40 +136,35 @@ def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
     full relative accuracy; a naive solve with a normalization row loses
     small components to absolute rounding.
 
-    States are eliminated in decreasing level (total occupancy), within
-    a level in decreasing order of chain.states. When state k of level
-    L is eliminated every higher level is already gone, so k is coupled
-    only to the remaining states of levels L-1 and L: each rank-one
-    update and each back-substitution dot product is confined to the
-    window [start of level L-1, k), and everything outside it is an
-    exact structural zero. The arithmetic on the window is that of the
-    dense elimination. Only levels L-1 and L are held, as one dense
-    block: the rates between them, and level L's block as the
-    elimination of level L+1 left it. Each eliminated state keeps its
-    window column and departure rate for the back substitution, so
-    memory is bounded by the widest two-level block and the windows,
-    not by the square of the state count. Raises ValueError if a rate
-    entry does not move the level by exactly one, since the window
-    depends on it.
-
-    The level order is internal: pi is returned in the order of
-    chain.states.
+    chain.states must be in level order (non-decreasing total
+    occupancy); they are eliminated from the last to the first, and pi
+    is returned in their order. When state k of level L is eliminated
+    every higher level is already gone, so k is coupled only to the
+    remaining states of levels L-1 and L: each rank-one update and each
+    back-substitution dot product is confined to the window [start of
+    level L-1, k), and everything outside it is an exact structural
+    zero. The arithmetic on the window is that of the dense elimination.
+    Only levels L-1 and L are held, as one dense block: the rates
+    between them, and level L's block as the elimination of level L+1
+    left it. Each eliminated state keeps its window column and departure
+    rate for the back substitution, so memory is bounded by the widest
+    two-level block and the windows, not by the square of the state
+    count. Raises ValueError if the states are out of level order or a
+    rate entry does not move the level by exactly one, since the window
+    depends on both.
     """
     n = len(chain.states)
-    levels = np.array([s.total for s in chain.states])
+    levels = np.array([sum(s) for s in chain.states])
+    if np.any(np.diff(levels) < 0):
+        raise ValueError("the states are not in level order")
     entries = np.array(chain.rate_entries, dtype=float).reshape(-1, 3)
     src, dst = entries[:, 0].astype(int), entries[:, 1].astype(int)
     if np.any(np.abs(levels[dst] - levels[src]) != 1):
         raise ValueError("a rate entry does not move the level by exactly one")
-    # order[p] is the state at position p; the sort is stable, so each
-    # level keeps the order of chain.states
-    order = np.argsort(levels, kind="stable")
-    position = np.empty(n, dtype=int)
-    position[order] = np.arange(n)
-    top = levels.max()
-    level_start = np.searchsorted(levels[order], np.arange(top + 2))
-    # window[p]: first position of the level below the level of position p
-    window = level_start[np.maximum(levels[order] - 1, 0)]
+    top = levels[-1]
+    level_start = np.searchsorted(levels, np.arange(top + 2))
+    # window[k]: first state of the level below the level of state k
+    window = level_start[np.maximum(levels - 1, 0)]
     # rate entries grouped by the upper of the two levels they join
     upper = np.maximum(levels[src], levels[dst])
     by_upper = np.argsort(upper, kind="stable")
@@ -173,16 +173,14 @@ def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
     departure = np.empty(n)
     # level L's block as the elimination of level L+1 left it
     carry = np.zeros((n - level_start[top],) * 2)
-    # fold states away from the highest position down
+    # fold states away from the last down
     for level in range(top, -1, -1):
         lo = level_start[max(level - 1, 0)]
         mid, hi = level_start[level], level_start[level + 1]
         R = np.zeros((hi - lo, hi - lo))
         R[mid - lo:, mid - lo:] = carry
         arcs = by_upper[upper_start[level] : upper_start[level + 1]]
-        np.add.at(
-            R, (position[src[arcs]] - lo, position[dst[arcs]] - lo), entries[arcs, 2]
-        )
+        np.add.at(R, (src[arcs] - lo, dst[arcs] - lo), entries[arcs, 2])
         for k in range(hi - lo - 1, max(mid, 1) - lo - 1, -1):
             row, col = R[k, :k], R[:k, k].copy()
             s = departure[lo + k] = np.add.reduce(row)
@@ -194,7 +192,7 @@ def solve_stationary(chain: EnumeratedChain) -> np.ndarray:
     for k in range(1, n):
         pi[k] = (pi[window[k] : k] @ columns[k]) / departure[k]
     pi /= pi.sum()
-    return pi[position]
+    return pi
 
 
 def blocking_direct(pool: PoolConfig | EnumeratedChain) -> BlockingReport:
@@ -204,21 +202,21 @@ def blocking_direct(pool: PoolConfig | EnumeratedChain) -> BlockingReport:
 
     p_comp sums pi over the orbits with total == N; p_radio sums, over
     the orbits with total < N, pi times h_K / M, the share of VBSs that
-    are radio-full.
+    are radio-full. Both sums are exactly rounded (math.fsum), so they
+    do not depend on the order of the states.
     """
     chain = pool if isinstance(pool, EnumeratedChain) else build_lumped_generator(pool)
     pi = solve_stationary(chain)
     config = chain.config
     K, N, M = config.k_radio, config.n_comp, config.m_vbs
-    p_comp = 0.0
-    p_radio_sum = 0.0
-    for s, p in zip(chain.states, pi):
-        if s.total == N:
-            p_comp += p
+    at_n, below_n = [], []
+    for s, p in zip(chain.states, pi.tolist()):
+        if sum(s) == N:
+            at_n.append(p)
         else:
-            p_radio_sum += s.occupancy.count(K) * p
-    p_radio = float(p_radio_sum / M)
-    p_comp = float(p_comp)
+            below_n.append(s.count(K) * p)
+    p_radio = math.fsum(below_n) / M
+    p_comp = math.fsum(at_n)
     return BlockingReport(
         p_radio=p_radio, p_comp=p_comp, p_total=p_radio + p_comp
     )
@@ -227,6 +225,6 @@ def blocking_direct(pool: PoolConfig | EnumeratedChain) -> BlockingReport:
 def dump_edges(chain: EnumeratedChain, out: IO[str]):
     """Write one `from_state to_state rate` line per transition."""
     for i, j, rate in chain.rate_entries:
-        src = ",".join(map(str, chain.states[i].occupancy))
-        dst = ",".join(map(str, chain.states[j].occupancy))
+        src = ",".join(map(str, chain.states[i]))
+        dst = ",".join(map(str, chain.states[j]))
         out.write(f"{src} {dst} {rate!r}\n")

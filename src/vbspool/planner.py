@@ -5,9 +5,10 @@ The workflow mirrors how a pool is dimensioned in practice: first pick
 the smallest K meeting the blocking threshold with ample c-servers, then
 walk N down from M*K and watch the blocking curve for the knee below
 which computational blocking takes over. Both read one array blocking
-curve (analytic.blocking_curve). n_min has one rule, the study's, which
-the sweep reuses: p_total falls strictly with N, so the curve crosses
-the threshold once, and the descent stops at the first N above it.
+curve (analytic.blocking_curve). n_min has one rule, which each reads
+from the curve it holds: p_total falls strictly with N, so the curve
+crosses the threshold once, and n_min is one more than the first N
+above it.
 """
 
 from __future__ import annotations
@@ -57,14 +58,16 @@ def dimension_pool(
     """Dimension K for the threshold, then sweep N from M*K downward.
 
     Stops early once p_total exceeds max(CEILING, p_threshold) unless
-    full_descent is set, so the points hold the threshold crossing.
-    n_min and pooling_gain = 1 - n_min / (M*K) are gain_vs_pool_size's."""
+    full_descent is set, so the points hold the threshold crossing, and
+    n_min and pooling_gain = 1 - n_min / (M*K) are read from them by
+    _n_min, the rule gain_vs_pool_size uses."""
     k_radio = dimension_radio(a, p_threshold)
     nk = m_vbs * k_radio
     stop = math.inf if full_descent else max(CEILING, p_threshold)
-    rows = zip(*(x.tolist() for x in blocking_curve(m_vbs, k_radio, a, stop)))
+    curve = blocking_curve(m_vbs, k_radio, a, stop)
+    rows = zip(*(x.tolist() for x in curve))
     points = tuple(SweepPoint(n, n / nk, *probs) for n, *probs in rows)
-    [(_, n_min, _, pooling_gain)] = gain_vs_pool_size([m_vbs], a, p_threshold)
+    n_min = _n_min(curve, p_threshold)
     return SweepResult(
         m_vbs=m_vbs,
         k_radio=k_radio,
@@ -72,7 +75,7 @@ def dimension_pool(
         p_threshold=p_threshold,
         points=points,
         n_min=n_min,
-        pooling_gain=pooling_gain,
+        pooling_gain=1.0 - n_min / nk,
         limit_bounds=(
             large_pool_limit(k_radio, a, p_threshold) if a <= k_radio else None
         ),
@@ -96,6 +99,14 @@ def knee_point(sweep: SweepResult) -> int:
     return int(n[(p_comp > p_radio).argmax()])
 
 
+def _n_min(curve: tuple, p_threshold: float) -> int:
+    """One more than the first N of a blocking curve whose p_total
+    exceeds p_threshold. A curve stopped at or above the threshold
+    holds that row."""
+    n, _, _, p_total = curve
+    return int(n[(p_total > p_threshold).argmax()]) + 1
+
+
 def gain_vs_pool_size(
     m_list: list[int], a: float, p_threshold: float
 ) -> list[tuple[int, int, float, float]]:
@@ -103,13 +114,13 @@ def gain_vs_pool_size(
 
     The curve descends from N = M*K, where p_total is Erlang-B and within
     the threshold by dimension_radio, and stops at the first N above the
-    threshold; n_min is one more. p_total falls strictly with N, so no
-    smaller N meets the threshold."""
+    threshold; n_min is one more (_n_min). p_total falls strictly with
+    N, so no smaller N meets the threshold."""
     k_radio = dimension_radio(a, p_threshold)
     rows = []
     for m in m_list:
         nk = m * k_radio
-        n_min = int(blocking_curve(m, k_radio, a, p_threshold)[0][-1]) + 1
+        n_min = _n_min(blocking_curve(m, k_radio, a, p_threshold), p_threshold)
         rows.append((m, n_min, n_min / nk, 1.0 - n_min / nk))
     return rows
 

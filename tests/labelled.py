@@ -7,7 +7,8 @@ this chain lumped over VBS relabelling; the tests compare the two, and
 check the product form state by state on this one.
 """
 
-from vbspool.model import PoolConfig, StateVector
+from vbspool.analytic import get_table
+from vbspool.model import PoolConfig
 from vbspool.oracle import STATE_CAP, EnumeratedChain
 
 
@@ -26,20 +27,21 @@ def state_space_size(config: PoolConfig) -> int:
     return sum(ways)
 
 
-def enumerate_states(config: PoolConfig) -> list[StateVector]:
-    """All states with entries <= K and sum <= N, in lexicographic order."""
+def enumerate_states(config: PoolConfig) -> list[tuple[int, ...]]:
+    """All states with entries <= K and sum <= N, in level order: by
+    total, lexicographic within a total."""
     size = state_space_size(config)
     if size > STATE_CAP:
         raise ValueError(
             f"state space has {size} states, above the cap of {STATE_CAP}"
         )
     K, N, M = config.k_radio, config.n_comp, config.m_vbs
-    states: list[StateVector] = []
+    states: list[tuple[int, ...]] = []
     prefix = [0] * M
 
     def extend(pos: int, used: int):
         if pos == M:
-            states.append(StateVector(tuple(prefix)))
+            states.append(tuple(prefix))
             return
         for k in range(min(K, N - used) + 1):
             prefix[pos] = k
@@ -47,6 +49,7 @@ def enumerate_states(config: PoolConfig) -> list[StateVector]:
         prefix[pos] = 0
 
     extend(0, 0)
+    states.sort(key=lambda s: (sum(s), s))
     return states
 
 
@@ -58,17 +61,28 @@ def build_generator(config: PoolConfig) -> EnumeratedChain:
     (total < N) and the VBS a free r-server (k_m < K).
     """
     states = enumerate_states(config)
-    index = {s.occupancy: i for i, s in enumerate(states)}
+    index = {occ: i for i, occ in enumerate(states)}
     K, N = config.k_radio, config.n_comp
     lam, mu = config.traffic.lam, config.traffic.mu
     entries: list[tuple[int, int, float]] = []
-    for i, s in enumerate(states):
-        occ = s.occupancy
+    for i, occ in enumerate(states):
+        admits = sum(occ) < N
         for m in range(config.m_vbs):
-            if s.total < N and occ[m] < K:
+            if admits and occ[m] < K:
                 up = occ[:m] + (occ[m] + 1,) + occ[m + 1:]
                 entries.append((i, index[up], lam))
             if occ[m] > 0:
                 down = occ[:m] + (occ[m] - 1,) + occ[m + 1:]
                 entries.append((i, index[down], occ[m] * mu))
     return EnumeratedChain(config=config, states=states, rate_entries=entries)
+
+
+def product_form(config: PoolConfig, occ: tuple[int, ...]) -> float:
+    """Product-form stationary probability of one state: the product of
+    the Poisson weights p_{k_m}, over the recursion's normalization
+    constant r(N+1, M)."""
+    table = get_table(config.k_radio, config.a)
+    weight = 1.0
+    for k in occ:
+        weight *= table.poisson_pmf[k]
+    return float(weight) / table.r(config.n_comp + 1, config.m_vbs)

@@ -13,14 +13,13 @@ from vbspool.analytic import (
     blocking_curve,
     compute_blocking,
     get_table,
-    stationary_probability,
 )
 from vbspool.erlang import erlang_b
-from vbspool.model import PoolConfig, StateVector, TrafficModel
+from vbspool.model import PoolConfig, TrafficModel
 from vbspool.oracle import blocking_direct
 from vbspool.planner import gain_vs_pool_size
 
-from labelled import enumerate_states
+from labelled import enumerate_states, product_form
 
 
 def pool(m, k, n, a=1.0):
@@ -407,42 +406,11 @@ class TestBlockingCurve:
 
 
 class TestStationaryProbability:
-    def test_zero_state_is_normalization_constant(self):
-        cfg = pool(2, 3, 4)
-        table = RecursionTable(3, 1.0)
-        p0 = stationary_probability(cfg, StateVector((0, 0)))
-        assert p0 == pytest.approx(
-            math.exp(-2) / table.r(5, 2), rel=1e-12
-        )
-
     def test_distribution_sums_to_one(self):
+        # the product form over every enumerated state: the recursion's
+        # normalization constant r(N+1, M) is the sum of the weights
         for m, k, n in [(2, 3, 4), (3, 2, 5), (4, 4, 9)]:
             for a in (0.5, 1.0, 3.0):
                 cfg = pool(m, k, n, a)
-                total = sum(
-                    stationary_probability(cfg, s)
-                    for s in enumerate_states(cfg)
-                )
+                total = sum(product_form(cfg, s) for s in enumerate_states(cfg))
                 assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_permutation_symmetry(self):
-        cfg = pool(2, 3, 4)
-        assert stationary_probability(
-            cfg, StateVector((1, 2))
-        ) == stationary_probability(cfg, StateVector((2, 1)))
-
-    @pytest.mark.parametrize(
-        "m, k, n, a, state",
-        [
-            (60, 28, 40, 17.8, (1,) * 40 + (0,) * 20),
-            (2, 30, 2, 1000.0, (1, 1)),
-        ],
-    )
-    def test_underflowed_pool_is_domain_error(self, m, k, n, a, state):
-        # r(N+1, M) underflowed to 0, the denominator of the product form
-        with pytest.raises(ValueError, match=f"underflow.*M={m}, N={n}\\b"):
-            stationary_probability(pool(m, k, n, a), StateVector(state))
-
-    def test_state_outside_space_rejected(self):
-        with pytest.raises(ValueError):
-            stationary_probability(pool(2, 3, 4), StateVector((3, 2)))

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -441,6 +442,40 @@ class TestSweepCommand:
             assert err.startswith("error:") and "underflow" in err and "M=60" in err
             assert len(err.splitlines()) == 1
             assert list(outdir.iterdir()) == []
+
+    def test_underflowed_rows_warn(self, capsys, tmp_path):
+        # p_comp is positive at every N but below the normal range on
+        # 5527 rows (5438 of them 0), and p_radio is 0 at N = 12924..12947
+        # although N > K; the CSV is written as before, with one warning
+        code, out, err = run(
+            capsys,
+            "sweep", "--m", "1000", "--a", "17.8", "--pth", "1e-2",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        (line,) = err.splitlines()
+        assert line.startswith("warning: m=1000: 5551 rows ")
+        assert "normal range" in line
+        (path,) = tmp_path.glob("sweep_m1000_*.csv")
+        rows = [
+            list(map(float, row.split(",")))
+            for row in path.read_text().splitlines()[2:]
+        ]
+        tiny = sys.float_info.min
+        comp = [n for n, _, _, p_comp, _ in rows if p_comp < tiny]
+        zero = [n for n, _, _, p_comp, _ in rows if p_comp == 0.0]
+        radio = [n for n, _, p_radio, p_comp, _ in rows if p_radio < tiny <= p_comp]
+        assert (len(comp), len(zero)) == (5527, 5438)
+        assert radio == list(range(12947, 12923, -1))
+
+    def test_normal_sweep_prints_no_warning(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "sweep", "--m", "10", "--m", "30", "--a", "17.8", "--pth", "1e-2",
+            "--full-descent", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        assert err == ""
 
     def test_outdir_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VBSPOOL_OUTDIR", str(tmp_path))

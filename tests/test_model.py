@@ -6,7 +6,6 @@ import pytest
 
 from vbspool.model import (
     PoolConfig,
-    StateVector,
     TrafficModel,
     parse_config,
 )
@@ -73,19 +72,6 @@ class TestPoolConfig:
         assert (config.m_vbs, config.k_radio, config.n_comp) == (2, 3, 4)
 
 
-class TestStateVector:
-    def test_total_is_cached(self):
-        s = StateVector((2, 1, 0))
-        assert s.total == 3
-
-    def test_validity(self):
-        cfg = pool(2, 3, 4)
-        assert StateVector((3, 1)).is_valid(cfg)
-        assert not StateVector((4, 0)).is_valid(cfg)  # entry above K
-        assert not StateVector((3, 2)).is_valid(cfg)  # total above N
-        assert not StateVector((1,)).is_valid(cfg)  # wrong length
-
-
 class ArrivalReplay:
     """Stands in for the generator: every batch is the scripted uniforms."""
 
@@ -122,13 +108,13 @@ def admits(cfg, state, vbs):
     `vbs` (1-based): from the orbit of `state` to the orbit of the state
     with one more session at `vbs`, each its non-increasing vector."""
     chain = build_lumped_generator(cfg)
-    up = list(state.occupancy)
+    up = list(state)
     up[vbs - 1] += 1
     arcs = {
-        (chain.states[i].occupancy, chain.states[j].occupancy)
+        (chain.states[i], chain.states[j])
         for i, j, _ in chain.rate_entries
     }
-    orbit = tuple(sorted(state.occupancy, reverse=True))
+    orbit = tuple(sorted(state, reverse=True))
     return (orbit, tuple(sorted(up, reverse=True))) in arcs
 
 
@@ -138,18 +124,18 @@ class TestAdmission:
 
     def test_radio_full_vbs_blocks(self):
         cfg = pool(2, 3, 4)
-        assert not admits(cfg, StateVector((3, 0)), 1)
+        assert not admits(cfg, (3, 0), 1)
         assert outcome(cfg, (3, 0), 1) == RADIO_BLOCK
 
     def test_empty_system_admits(self):
         cfg = pool(2, 3, 4)
-        assert admits(cfg, StateVector((0, 0)), 1)
+        assert admits(cfg, (0, 0), 1)
         assert outcome(cfg, (0, 0), 1) == ADMIT
 
     def test_full_pool_blocks_every_vbs(self):
         cfg = pool(2, 3, 4)
-        assert not admits(cfg, StateVector((2, 2)), 1)
-        assert not admits(cfg, StateVector((2, 2)), 2)
+        assert not admits(cfg, (2, 2), 1)
+        assert not admits(cfg, (2, 2), 2)
         assert outcome(cfg, (2, 2), 1) == COMPUTE_BLOCK
         assert outcome(cfg, (2, 2), 2) == COMPUTE_BLOCK
 
@@ -169,17 +155,16 @@ class TestAdmission:
     def test_exactly_one_outcome_everywhere(self):
         cfg = pool(3, 2, 4)
         for occ in itertools.product(range(3), repeat=3):
-            s = StateVector(occ)
-            if not s.is_valid(cfg):
+            if sum(occ) > cfg.n_comp:
                 continue
             for m in range(1, 4):
                 out = outcome(cfg, occ, m)
                 assert out in (ADMIT, RADIO_BLOCK, COMPUTE_BLOCK)
-                assert admits(cfg, s, m) == (out == ADMIT)
+                assert admits(cfg, occ, m) == (out == ADMIT)
                 if out == COMPUTE_BLOCK:
-                    assert s.total == cfg.n_comp
+                    assert sum(occ) == cfg.n_comp
                 elif out == RADIO_BLOCK:
-                    assert s.total < cfg.n_comp
+                    assert sum(occ) < cfg.n_comp
                     assert occ[m - 1] == cfg.k_radio
 
 

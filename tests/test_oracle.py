@@ -5,9 +5,9 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from vbspool.analytic import compute_blocking, stationary_probability
+from vbspool.analytic import compute_blocking
 from vbspool.erlang import erlang_b
-from vbspool.model import PoolConfig, StateVector, TrafficModel
+from vbspool.model import PoolConfig, TrafficModel
 from vbspool import oracle
 from vbspool.oracle import (
     EnumeratedChain,
@@ -17,7 +17,11 @@ from vbspool.oracle import (
     solve_stationary,
 )
 
-from labelled import build_generator, enumerate_states
+from labelled import build_generator, enumerate_states, product_form
+
+
+def level_order(states):
+    return sorted(states, key=lambda s: (sum(s), s))
 
 
 def pool(m, k, n, a=1.0, lam=None, mu=1.0):
@@ -29,19 +33,18 @@ def pool(m, k, n, a=1.0, lam=None, mu=1.0):
 class TestEnumeration:
     def test_single_vbs(self):
         states = enumerate_states(pool(1, 2, 2))
-        assert [s.occupancy for s in states] == [(0,), (1,), (2,)]
+        assert states == [(0,), (1,), (2,)]
 
     def test_truncated_two_vbs(self):
         states = enumerate_states(pool(2, 3, 4))
         assert len(states) == 13
-        occupancies = [s.occupancy for s in states]
-        assert occupancies == sorted(occupancies)  # lexicographic
-        assert len(set(occupancies)) == 13
-        assert all(max(o) <= 3 and sum(o) <= 4 for o in occupancies)
+        assert states == level_order(states)
+        assert len(set(states)) == 13
+        assert all(max(o) <= 3 and sum(o) <= 4 for o in states)
 
     def test_shared_single_server(self):
         states = enumerate_states(pool(2, 1, 1))
-        assert {s.occupancy for s in states} == {(0, 0), (0, 1), (1, 0)}
+        assert set(states) == {(0, 0), (0, 1), (1, 0)}
 
     def test_cap_refused_with_size(self):
         # 7^8 states, above the cap of 10^6; refused before any is built
@@ -53,7 +56,7 @@ class TestGenerator:
     def test_tiny_chain_rates(self):
         chain = build_generator(pool(1, 1, 1, lam=2.0, mu=1.0))
         rates = {
-            (chain.states[i].occupancy, chain.states[j].occupancy): r
+            (chain.states[i], chain.states[j]): r
             for i, j, r in chain.rate_entries
         }
         assert rates == {((0,), (1,)): 2.0, ((1,), (0,)): 1.0}
@@ -61,22 +64,20 @@ class TestGenerator:
     def test_arcs_are_unit_steps(self):
         chain = build_generator(pool(3, 2, 4, a=0.7))
         for i, j, rate in chain.rate_entries:
-            diff = np.subtract(
-                chain.states[j].occupancy, chain.states[i].occupancy
-            )
+            diff = np.subtract(chain.states[j], chain.states[i])
             assert sorted(np.abs(diff)) == [0, 0, 1]
             assert rate > 0
 
     def test_full_pool_has_no_arrival_arcs(self):
         chain = build_generator(pool(2, 3, 4))
-        full = chain.states.index(StateVector((2, 2)))
+        full = chain.states.index((2, 2))
         lam = 1.0
         outgoing = [
             (j, r) for i, j, r in chain.rate_entries if i == full
         ]
         # only departures (rate k_m * mu, never lam into a larger state)
         for j, rate in outgoing:
-            assert chain.states[j].total == 3
+            assert sum(chain.states[j]) == 3
 
     @pytest.mark.parametrize("m_vbs, k, n", [(3, 2, 4), (2, 3, 4), (3, 3, 5)])
     def test_arrival_arc_iff_admitted(self, m_vbs, k, n):
@@ -86,15 +87,15 @@ class TestGenerator:
         chain = build_generator(pool(m_vbs, k, n, lam=0.7))
         arrivals = {}
         for i, j, rate in chain.rate_entries:
-            step = np.subtract(chain.states[j].occupancy, chain.states[i].occupancy)
+            step = np.subtract(chain.states[j], chain.states[i])
             if step.sum() == 1:
                 arrivals[(i, int(np.argmax(step)))] = rate
         seen = set()
         for i, s in enumerate(chain.states):
             for m in range(m_vbs):
-                admitted = s.total < n and s.occupancy[m] < k
+                admitted = sum(s) < n and s[m] < k
                 assert arrivals.get((i, m)) == (0.7 if admitted else None)
-                seen.add((admitted, s.total == n, s.occupancy[m] == k))
+                seen.add((admitted, sum(s) == n, s[m] == k))
         assert seen == {
             (True, False, False),
             (False, False, True),
@@ -105,7 +106,7 @@ class TestGenerator:
     def test_departure_rates_scale_with_occupancy(self):
         chain = build_generator(pool(1, 3, 3, lam=1.0, mu=2.0))
         rates = {
-            (chain.states[i].occupancy, chain.states[j].occupancy): r
+            (chain.states[i], chain.states[j]): r
             for i, j, r in chain.rate_entries
         }
         assert rates[((3,), (2,))] == 6.0
@@ -122,9 +123,9 @@ class TestStationary:
         for cfg in [pool(2, 3, 4), pool(3, 2, 4, a=2.0)]:
             chain = build_generator(cfg)
             pi = solve_stationary(chain)
-            zero = chain.states.index(StateVector((0,) * cfg.m_vbs))
+            zero = chain.states.index((0,) * cfg.m_vbs)
             assert pi[zero] == pytest.approx(
-                stationary_probability(cfg, chain.states[zero]), rel=1e-10
+                product_form(cfg, chain.states[zero]), rel=1e-10
             )
 
     def test_detailed_balance_holds(self):
@@ -143,7 +144,7 @@ class TestStationary:
         pi = solve_stationary(chain)
         for s, p in zip(chain.states, pi):
             assert p == pytest.approx(
-                stationary_probability(cfg, s), abs=1e-10, rel=1e-10
+                product_form(cfg, s), abs=1e-10, rel=1e-10
             )
 
 
@@ -193,13 +194,23 @@ class TestLevelOrderedSolve:
         with pytest.raises(ValueError, match="level"):
             solve_stationary(chain)
 
+    def test_states_out_of_level_order_are_refused(self):
+        # the birth-death chain of pool(1, 2, 2) with states 1 and 2 swapped
+        chain = EnumeratedChain(
+            config=pool(1, 2, 2),
+            states=[(0,), (2,), (1,)],
+            rate_entries=[(0, 2, 1.0), (2, 0, 1.0), (2, 1, 1.0), (1, 2, 2.0)],
+        )
+        with pytest.raises(ValueError, match="level order"):
+            solve_stationary(chain)
+
 
 class TestLumpedChain:
     def test_rates_scale_with_the_histogram(self):
         # (1, 1, 0): two VBSs hold one session, one holds none
         chain = build_lumped_generator(pool(3, 2, 4, lam=0.7, mu=2.0))
         rates = {
-            (chain.states[i].occupancy, chain.states[j].occupancy): r
+            (chain.states[i], chain.states[j]): r
             for i, j, r in chain.rate_entries
         }
         out = {dst: r for (src, dst), r in rates.items() if src == (1, 1, 0)}
@@ -217,23 +228,26 @@ class TestLumpedChain:
         lumped = build_lumped_generator(cfg)
         orbit_sums = defaultdict(float)
         for s, p in zip(labelled.states, solve_stationary(labelled)):
-            orbit_sums[tuple(sorted(s.occupancy, reverse=True))] += p
-        orbits = [s.occupancy for s in lumped.states]
-        assert orbits == sorted(orbit_sums)
+            orbit_sums[tuple(sorted(s, reverse=True))] += p
+        orbits = lumped.states
+        assert orbits == level_order(orbit_sums)
         assert oracle._orbit_count(cfg) == len(orbits)
         pi = solve_stationary(lumped)
         want = np.array([orbit_sums[o] for o in orbits])
         assert np.all(np.abs(pi - want) <= 1e-14 * want)
 
-    def test_cap_refused_before_any_state_is_built(self, monkeypatch):
+    def test_cap_refused_before_any_state_is_built(self):
         # orbits (x, y) with 2000 >= x >= y and x + y <= 2000: the sum over
-        # s <= 2000 of floor(s / 2) + 1 is 1002001, above the cap of 10^6
-        def no_state(occupancy):
-            raise AssertionError(f"state {occupancy[:3]}... was built")
-
-        monkeypatch.setattr(oracle, "StateVector", no_state)
-        with pytest.raises(ValueError, match="1002001"):
-            blocking_direct(pool(2, 2000, 2000))
+        # s <= 2000 of floor(s / 2) + 1 is 1002001, above the cap of 10^6;
+        # a million 2-tuples alone would take over 50 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1002001"):
+                blocking_direct(pool(2, 2000, 2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSolveMemory:
@@ -283,7 +297,7 @@ class TestBlockingDirect:
         single = sum(
             p
             for s, p in zip(chain.states, pi)
-            if s.occupancy[0] == 2 and s.total < 5
+            if s[0] == 2 and sum(s) < 5
         )
         assert blocking_direct(cfg).p_radio == pytest.approx(
             single, rel=1e-12
