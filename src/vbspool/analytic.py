@@ -1,12 +1,14 @@
 """Exact blocking probabilities via normalized occupancy recursions.
 
 The raw partition sums C(n, m) (weight of states with total occupancy
-exactly n) and R(n, m) (total < n) grow like e^{a*m} and overflow double
-precision for large pools. All recursions here therefore run on Poisson
-probabilities p_i = e^{-a} a^i / i! instead of raw terms a^i / i!, so
+exactly n) and R(n, m) (total < n) grow like phi(a)^m, with
+phi(a) = sum_{i<=K} a^i / i!, and overflow double precision for large
+pools. All recursions here therefore run on the truncated Poisson law
+p_i = (a^i / i!) / phi(a), i = 0..K, instead of raw terms a^i / i!, so
 every intermediate is the probability of an event under m i.i.d.
-Poisson(a) variables and lies in [0, 1]. The normalization constants
-cancel exactly in every reported probability.
+truncated Poisson(a) variables and lies in [0, 1], and every column
+sums to 1. The normalization constants cancel exactly in every reported
+probability.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ from .model import BlockingReport, PoolConfig
 # column spans are scaled by 2**SPAN_SCALE before they are convolved
 SPAN_SCALE = 510
 _TINY = sys.float_info.min
-_LOG_NORMAL = math.log(_TINY)
 # a square of fewer entries is one np.convolve
 _SQUARE_BASE = 1000
 
 
 def _span(x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Offset and entries of the nonzero span of x; no entries if x is
-    all zero."""
+    """Offset and entries of the nonzero span of x, which is not all zero."""
     nz = np.flatnonzero(x)
-    if not nz.size:
-        return 0, x[:0]
     return int(nz[0]), x[nz[0] : nz[-1] + 1]
 
 
@@ -59,9 +57,10 @@ class RecursionTable:
     """Normalized occupancy sums for a fixed (K, a), built on demand.
 
     c(n, m) is the probability that m i.i.d. Poisson(a) variables, each
-    capped at K, sum to exactly n (weight of the total-occupancy level);
-    r(n, m) is the same with sum strictly below n. Column m of c is the
-    m-fold convolution of the capped pmf, built only when read, by one
+    truncated to 0..K, sum to exactly n: the level weight
+    C(n, m) / phi(a)^m. r(n, m) is the same with sum strictly below n.
+    poisson_pmf is the truncated law, so its entry K is Erlang-B(K, a).
+    Column m of c is its m-fold convolution, built only when read, by one
     convolution with the pmf: an even column convolves column m - 1 with
     it, an odd one the square of column m // 2. A square multiplies each
     pair of distinct terms once (_square), so it costs half the
@@ -74,8 +73,7 @@ class RecursionTable:
     behind r only for the columns r reads. At K = 28, a = 17.8 a fresh
     table reads columns 1024 and 1023 in 12 ms, 10**4 and 9999 in
     0.13 s, and 9999 and 9998, which need two squares per halving, in
-    0.27 s (2-vCPU Xeon VM; 23 ms, 0.27 s and 0.48 s when an odd column
-    convolved columns (m - 1)/2 and (m + 1)/2).
+    0.27 s (2-vCPU Xeon VM).
 
     Only the nonzero span of each operand is convolved, and the product
     lands at the sum of the spans' offsets in a zero column of full
@@ -83,7 +81,7 @@ class RecursionTable:
     product by 2**(-2*SPAN_SCALE) after. A power of two scales exactly
     (only a result below the normal range rounds), every nonzero operand
     is then a normal double, and no product is subnormal unless its true
-    value is below 2**-2042. A column sums to at most 1, so nothing
+    value is below 2**-2042. A column sums to 1 up to rounding, so nothing
     overflows: a square, taken at scale 2**(2*SPAN_SCALE), is at most
     2**1020, and no partial sum exceeds it. It is scaled back to
     2**SPAN_SCALE before its convolution with the pmf, and its entries
@@ -100,20 +98,16 @@ class RecursionTable:
             raise ValueError(f"offered load must be positive and finite, got {a}")
         self.k_radio = k_radio
         self.a = a
-        # p_i = e^{-a} a^i / i! for i = 0..K by p_i = p_{i-1} a / i, started
-        # at p_0 = e^{-a} unless that is below the normal range (a > 708):
-        # then at the first normal entry, or at the mode if none is normal
-        def log_p(i):
-            return i * math.log(a) - math.lgamma(i + 1) - a
-
+        # the truncated Poisson law p_i = (a^i / i!) / phi(a), i = 0..K, by
+        # ratios from 1 at the mode, where every entry is at most 1
         mode = min(int(a), k_radio)
-        start = next((i for i in range(mode) if log_p(i) >= _LOG_NORMAL), mode)
         p = np.empty(k_radio + 1)
-        p[start] = math.exp(log_p(start))
-        for i in range(start + 1, k_radio + 1):
+        p[mode] = 1.0
+        for i in range(mode + 1, k_radio + 1):
             p[i] = p[i - 1] * a / i
-        for i in range(start, 0, -1):
+        for i in range(mode, 0, -1):
             p[i - 1] = p[i] * i / a
+        p /= math.fsum(p)
         self.poisson_pmf = p
         j, y = _span(p)
         self._pmf_span = j, np.ldexp(y, SPAN_SCALE)
@@ -126,24 +120,22 @@ class RecursionTable:
             # x: the scaled span of square(column m // 2) or of column m - 1
             if m % 2:
                 i, x = _span(self._column(m // 2))
-                if x.size:
-                    x = np.ldexp(_square(np.ldexp(x, SPAN_SCALE)), -SPAN_SCALE)
-                    x[x < _TINY] = 0.0  # below 2**-1532 unscaled
-                    j, x = _span(x)
-                    i = 2 * i + j
+                x = np.ldexp(_square(np.ldexp(x, SPAN_SCALE)), -SPAN_SCALE)
+                x[x < _TINY] = 0.0  # below 2**-1532 unscaled
+                j, x = _span(x)
+                i = 2 * i + j
             else:
                 i, x = _span(self._column(m - 1))
                 x = np.ldexp(x, SPAN_SCALE)
             j, y = self._pmf_span
             col = np.zeros(m * self.k_radio + 1)
-            if x.size and y.size:
-                span = np.convolve(x, y)
-                col[i + j : i + j + span.size] = np.ldexp(span, -2 * SPAN_SCALE)
+            span = np.convolve(x, y)
+            col[i + j : i + j + span.size] = np.ldexp(span, -2 * SPAN_SCALE)
             self._c[m] = col
         return col
 
     def c(self, n: int, m: int) -> float:
-        """Normalized level weight: e^{-a m} * C(n, m)."""
+        """Normalized level weight: C(n, m) / phi(a)^m."""
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if not 0 <= n <= m * self.k_radio:
@@ -153,7 +145,7 @@ class RecursionTable:
         return float(self._column(m)[n])
 
     def r(self, n: int, m: int) -> float:
-        """Normalized below-level weight: e^{-a m} * R(n, m)."""
+        """Normalized below-level weight: R(n, m) / phi(a)^m."""
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if not 0 <= n <= m * self.k_radio + 1:

@@ -43,6 +43,8 @@ import numpy as np
 from .model import BlockingReport, PoolConfig
 
 STATE_CAP = 10**6
+# the solve holds two adjacent levels as one dense block: 32 MiB at the cap
+BLOCK_CAP = 2048
 # orbit counts saturate here, far above any cap
 _SATURATED = 2**61
 
@@ -57,13 +59,13 @@ class EnumeratedChain:
     rate_entries: list[tuple[int, int, float]]
 
 
-def _orbit_count(config: PoolConfig) -> int:
+def _level_widths(config: PoolConfig) -> list[int]:
     """Count of non-increasing occupancy vectors with entries <= K and
-    sum <= N: the partitions of at most N into at most M parts, each at
-    most K. Conjugating a partition swaps the two bounds, so the count
-    runs over part values up to the larger bound and tracks the number
-    of parts up to the smaller. Exact below _SATURATED; a count that
-    reaches it is a lower bound."""
+    sum s, for each level s = 0..N: the partitions of s into at most M
+    parts, each at most K. Conjugating a partition swaps the two bounds
+    and keeps s, so the count runs over part values up to the larger
+    bound and tracks the number of parts up to the smaller. Exact below
+    _SATURATED; a count that reaches it is a lower bound."""
     n = config.n_comp
     parts, largest = sorted((min(config.m_vbs, n), min(config.k_radio, n)))
     # ways[j, s]: partitions of s into j parts, each at most the value v
@@ -75,7 +77,7 @@ def _orbit_count(config: PoolConfig) -> int:
             np.minimum(
                 ways[j, v:] + ways[j - 1, : n + 1 - v], _SATURATED, out=ways[j, v:]
             )
-    return sum(map(int, ways.ravel()))
+    return [sum(map(int, level)) for level in ways.T]
 
 
 def build_lumped_generator(config: PoolConfig) -> EnumeratedChain:
@@ -87,13 +89,21 @@ def build_lumped_generator(config: PoolConfig) -> EnumeratedChain:
     the VBS a free r-server (v < K), at rate h_v * lambda; a departure
     from one of them has rate h_v * v * mu. Moving the first of them up,
     or the last down, keeps the vector non-increasing. A pool with more
-    than STATE_CAP orbits is refused before any state is built.
+    than STATE_CAP orbits, or with two adjacent levels of more than
+    BLOCK_CAP orbits together, is refused before any state is built.
     """
-    size = _orbit_count(config)
+    widths = _level_widths(config)
+    size = sum(widths)
     if size > STATE_CAP:
         at_least = "at least " if size >= _SATURATED else ""
         raise ValueError(
             f"lumped chain has {at_least}{size} states, above the cap of {STATE_CAP}"
+        )
+    block = max(map(sum, zip([0] + widths, widths)))
+    if block > BLOCK_CAP:
+        raise ValueError(
+            f"lumped chain has {block} states on two adjacent levels, above "
+            f"the cap of {BLOCK_CAP} on the solve's dense level block"
         )
     K, N, M = config.k_radio, config.n_comp, config.m_vbs
     lam, mu = config.traffic.lam, config.traffic.mu

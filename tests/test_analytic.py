@@ -26,13 +26,18 @@ def pool(m, k, n, a=1.0):
     return PoolConfig(m, k, n, TrafficModel.from_load(a))
 
 
+def phi(k, a):
+    """The capped exponential sum: the mass of a^i / i! over i = 0..K."""
+    return math.fsum(a**i / math.factorial(i) for i in range(k + 1))
+
+
 def brute_c(n, m, k, a):
     """Exhaustive-enumeration reference for the normalized level weight."""
     total = 0.0
     for occ in itertools.product(range(k + 1), repeat=m):
         if sum(occ) == n:
             total += math.prod(a**x / math.factorial(x) for x in occ)
-    return math.exp(-a * m) * total
+    return total / phi(k, a) ** m
 
 
 def sequential_columns(k, a, m_max):
@@ -71,23 +76,25 @@ def brute_r(n, m, k, a):
     for occ in itertools.product(range(k + 1), repeat=m):
         if sum(occ) < n:
             total += math.prod(a**x / math.factorial(x) for x in occ)
-    return math.exp(-a * m) * total
+    return total / phi(k, a) ** m
 
 
 class TestRecursionValues:
     def test_zero_level_is_empty_state(self):
-        assert get_table(2, 1.0).c(0, 3) == pytest.approx(math.exp(-3), rel=1e-14)
+        assert get_table(2, 1.0).c(0, 3) == pytest.approx(
+            phi(2, 1.0) ** -3, rel=1e-14
+        )
 
     def test_level_one_two_vbs(self):
         # states (1,0) and (0,1)
         assert get_table(3, 1.0).c(1, 2) == pytest.approx(
-            2 * math.exp(-2), rel=1e-14
+            2 * phi(3, 1.0) ** -2, rel=1e-14
         )
 
     def test_top_level_single_state(self):
         # only (3,3)
         assert get_table(3, 1.0).c(6, 2) == pytest.approx(
-            (1 / math.factorial(3)) ** 2 * math.exp(-2), rel=1e-14
+            (1 / math.factorial(3)) ** 2 * phi(3, 1.0) ** -2, rel=1e-14
         )
 
     def test_r_of_zero_is_empty_sum(self):
@@ -96,11 +103,11 @@ class TestRecursionValues:
 
     def test_r_of_one_is_zero_state(self):
         assert get_table(3, 1.0).r(1, 2) == pytest.approx(
-            math.exp(-2), rel=1e-14
+            phi(3, 1.0) ** -2, rel=1e-14
         )
 
     def test_r_above_box_is_full_mass(self):
-        expect = sum(math.exp(-1) / math.factorial(i) for i in range(4)) ** 2
+        expect = (sum(1 / math.factorial(i) for i in range(4)) / phi(3, 1.0)) ** 2
         assert get_table(3, 1.0).r(7, 2) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -184,7 +191,7 @@ class TestColumnsOnDemand:
     def test_study_multiply_adds_are_bounded(self, convolve_operands):
         # an odd column is square(column m // 2) convolved with the pmf,
         # and a square multiplies each pair of distinct terms once: the
-        # study to M = 2**10 makes 4.75e7 multiply-adds, where convolving
+        # study to M = 2**10 makes 4.77e7 multiply-adds, where convolving
         # columns (m - 1)/2 and (m + 1)/2 made 7.98e7
         get_table.cache_clear()
         gain_vs_pool_size([2**i for i in range(1, 11)], 17.8, 1e-2)
@@ -262,19 +269,31 @@ class TestSquare:
 
 
 class TestEdgeLoads:
-    def test_all_zero_pmf_flags_underflow(self, convolve_operands):
-        # at a = 1000 every p_i with i <= 30 is below the smallest double;
-        # a column of zeros has no span, and np.convolve raises on an
-        # empty operand
-        assert not np.any(RecursionTable(30, 1000.0).poisson_pmf)
-        with pytest.raises(ValueError, match="underflow.*M=2, N=2"):
-            compute_blocking(pool(2, 30, 2, 1000.0))
+    @pytest.mark.parametrize("k", [1, 28, 800])
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 17.8, 700.0, 800.0, 1000.0, 1e5])
+    def test_pmf_is_the_truncated_poisson_law(self, k, a):
+        # mass 1, and p_K = (a^K / K!) / phi(a) is Erlang-B(K, a)
+        pmf = RecursionTable(k, a).poisson_pmf
+        assert abs(math.fsum(pmf) - 1.0) <= 4 * math.ulp(1.0)
+        b = erlang_b(k, a)
+        if b >= np.finfo(float).tiny:
+            assert pmf[k] == pytest.approx(b, rel=1e-14)
+
+    def test_load_far_above_k_is_answered(self, convolve_operands):
+        # at a = 1000, K = 30 the law peaks at p_30 and p_0 is 2.6e-58,
+        # so no operand is empty; p_comp is the level-2 weight 2 a^2 over
+        # the reachable weight 1 + 2a + 2a^2
+        a = 1000.0
+        report = compute_blocking(pool(2, 30, 2, a))
+        assert report.p_comp == pytest.approx(
+            2 * a**2 / (1 + 2 * a + 2 * a**2), rel=1e-12
+        )
         assert all(x.size for x in convolve_operands)
 
-    @pytest.mark.parametrize("k", [30, 800])
-    def test_leading_zeros_match_full_length_reference(self, k):
-        # e^-800 underflows but p_K does not: the pmf starts with zeros
-        a = 800.0
+    @pytest.mark.parametrize("k, a", [(30, 1e12), (800, 800.0)], ids=["30", "800"])
+    def test_leading_zeros_match_full_length_reference(self, k, a):
+        # p_0 = p_K K! / a^K underflows but p_K does not: the pmf starts
+        # with zeros
         table = RecursionTable(k, a)
         pmf = table.poisson_pmf
         assert pmf[0] == 0.0 and pmf[k] > 0.0
@@ -289,13 +308,6 @@ class TestEdgeLoads:
         # one VBS with N < K is an Erlang loss system with N servers
         report = compute_blocking(pool(1, 30, 29, 800.0))
         assert report.p_comp == pytest.approx(erlang_b(29, 800.0), rel=1e-12)
-
-    def test_pmf_unchanged_where_e_to_minus_a_is_normal(self):
-        for k, a in [(28, 17.8), (30, 700.0)]:
-            want = [math.exp(-a)]
-            for i in range(1, k + 1):
-                want.append(want[-1] * a / i)
-            assert RecursionTable(k, a).poisson_pmf.tolist() == want
 
 
 class TestComputeBlocking:
@@ -398,11 +410,15 @@ class TestBlockingCurve:
         with pytest.raises(ValueError, match=r"underflow.*M=60, N=95\b"):
             blocking_curve(60, 28, 17.8, math.inf)
 
-    def test_collapsed_column_raises_below_full_pool(self):
-        # at a = 17.8, K = 10 the capped pmf holds 0.0335 of the mass, and
-        # 0.0335^256 underflows every weight of column 256
-        with pytest.raises(ValueError, match=r"underflow.*M=256, N=2559\b"):
-            blocking_curve(256, 10, 17.8, 0.5)
+    def test_loose_threshold_column_answers_below_full_pool(self):
+        # at a = 17.8, K = 10 the capped terms hold 0.0335 of the Poisson
+        # mass, and 0.0335^256 would underflow every weight of column 256;
+        # the truncated law keeps mass 1, and the curve crosses 0.5 just
+        # below the exact n_min of 2285 (integer reference)
+        curve = blocking_curve(256, 10, 17.8, 0.5)
+        assert curve[0][-1] + 1 == 2285
+        self.assert_rows_are_compute_blocking(256, 10, 17.8, curve)
+        self.assert_stops_at_first_excess(curve, 0.5)
 
 
 class TestStationaryProbability:

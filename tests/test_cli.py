@@ -128,16 +128,18 @@ class TestBlocking:
 
     @pytest.mark.parametrize("n", [22591, 28000])
     def test_zero_below_normal_range_warns(self, capsys, n):
-        # p_comp is positive at every N, but it underflows to 0 at
-        # N = 22591 and, as B^M, at N = M*K; the record is unchanged
+        # p_comp is positive at every N, but it is below the normal range
+        # at N = 22591 and underflows to 0, as B^M, at N = M*K; the record
+        # is unchanged
         code, out, err = run(
             capsys, "blocking", "--m", "1000", "--k", "28", "--n", str(n),
             "--a", "17.8",
         )
         assert code == 0
-        assert "p_comp = 0\n" in out
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert float(values["p_comp"]) < sys.float_info.min
         (line,) = err.splitlines()
-        assert line.startswith("warning: p_comp = 0 ")
+        assert line.startswith(f"warning: p_comp = {values['p_comp']} ")
         assert "normal range" in line
 
     def test_paper_point_prints_no_warning(self, capsys):
@@ -294,16 +296,16 @@ class TestOracleCommand:
 
     def test_underflow_reports_the_oracle_alone(self, capsys):
         # r(N+1, M) underflows to 0: there is no recursion value to
-        # compare the oracle's p_comp = 0.9990005 against, so the record
-        # carries the oracle's answer and a null deviation
+        # compare the oracle's p_comp = 4.5 a^2 / (1 + 3a + 4.5 a^2) against,
+        # so the record carries the oracle's answer and a null deviation
         code, out, err = run(
-            capsys, "oracle", "--m", "2", "--k", "30", "--n", "2", "--a", "1000",
+            capsys, "oracle", "--m", "3", "--k", "800", "--n", "2", "--a", "700",
             "--format", "json",
         )
         assert code == 0
         result = json.loads(out)["result"]
-        want = blocking_direct(PoolConfig(2, 30, 2, TrafficModel.from_load(1000)))
-        assert result["p_comp"] == float(f"{want.p_comp:.12g}")
+        want = blocking_direct(PoolConfig(3, 800, 2, TrafficModel.from_load(700)))
+        assert result["p_comp"] == float(f"{want.p_comp:.12g}") == 0.999048072562
         assert result["max_relative_deviation"] is None
         assert err.startswith("warning:") and "underflow" in err
         assert "disagree" not in err
@@ -445,7 +447,7 @@ class TestSweepCommand:
 
     def test_underflowed_rows_warn(self, capsys, tmp_path):
         # p_comp is positive at every N but below the normal range on
-        # 5527 rows (5438 of them 0), and p_radio is 0 at N = 12924..12947
+        # 5527 rows (5409 of them 0), and p_radio is 0 at N = 12896..12919
         # although N > K; the CSV is written as before, with one warning
         code, out, err = run(
             capsys,
@@ -465,8 +467,8 @@ class TestSweepCommand:
         comp = [n for n, _, _, p_comp, _ in rows if p_comp < tiny]
         zero = [n for n, _, _, p_comp, _ in rows if p_comp == 0.0]
         radio = [n for n, _, p_radio, p_comp, _ in rows if p_radio < tiny <= p_comp]
-        assert (len(comp), len(zero)) == (5527, 5438)
-        assert radio == list(range(12947, 12923, -1))
+        assert (len(comp), len(zero)) == (5527, 5409)
+        assert radio == list(range(12919, 12895, -1))
 
     def test_normal_sweep_prints_no_warning(self, capsys, tmp_path):
         code, _, err = run(

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from vbspool.analytic import compute_blocking
+from vbspool.analytic import blocking_curve, compute_blocking
 from vbspool.cli import main
 from vbspool.erlang import dimension_radio
 from vbspool.model import PoolConfig, TrafficModel
@@ -223,10 +223,54 @@ def test_knee_below_the_sweep_rows_matches_exact():
     assert knee_point(sweep) == knee
 
 
-@pytest.mark.parametrize("m, k, n", [(60, 28, 16), (60, 6, 20)])
+@pytest.mark.parametrize(
+    "m, k, p_th, n_min", [(128, 6, "0.7", 686), (64, 2, "0.9", 115)]
+)
+def test_loose_threshold_studies_match_exact(m, k, p_th, n_min):
+    # the capped terms hold a small share of the Poisson mass at K = 6
+    # and K = 2, so scaled by e^-a column M would hold that share to the
+    # power M and underflow; the truncated law keeps every column at mass 1
+    th = Fraction(p_th)
+    rows = exact_curve(m, level_counts(m, k), k)
+    exact = next(
+        n for n in range(m * k + 1)
+        if all(radio + comp <= th * den for radio, comp, den in rows[n:])
+    )
+    assert exact == n_min
+    assert dimension_radio(17.8, float(th)) == k
+    assert gain_vs_pool_size([m], 17.8, float(th))[0][1] == n_min
+    assert dimension_pool(m, 17.8, float(th)).n_min == n_min
+    curve = blocking_curve(m, k, 17.8, float(th))
+    for n, p_radio, p_comp, p_total in zip(*(x.tolist() for x in curve)):
+        radio, comp, den = rows[n]
+        assert rel_err(p_radio, radio / den) <= 1e-12, n
+        assert rel_err(p_comp, comp / den) <= 1e-12, n
+        assert rel_err(p_total, (radio + comp) / den) <= 1e-12, n
+
+
+def test_m60_k6_full_descent_and_oracle_match_exact():
+    # at K = 6 the truncated law keeps every weight of column 60 normal,
+    # so the recursion answers at every N; the lumped chain at N = 20
+    # has 1513 states
+    rows = exact_curve(60, level_counts(60, 6), 6)
+    curve = blocking_curve(60, 6, 17.8, math.inf)
+    assert curve[0].tolist() == list(range(360, -1, -1))
+    for n, p_radio, p_comp, p_total in zip(*(x.tolist() for x in curve)):
+        radio, comp, den = rows[n]
+        assert rel_err(p_radio, radio / den) <= 1e-12, n
+        assert rel_err(p_comp, comp / den) <= 1e-12, n
+        assert rel_err(p_total, (radio + comp) / den) <= 1e-12, n
+    report = blocking_direct(PoolConfig(60, 6, 20, TrafficModel.from_load(17.8)))
+    radio, comp, den = rows[20]
+    assert rel_err(report.p_radio, radio / den) <= 1e-12
+    assert rel_err(report.p_comp, comp / den) <= 1e-12
+    assert rel_err(report.p_total, (radio + comp) / den) <= 1e-12
+
+
+@pytest.mark.parametrize("m, k, n", [(60, 28, 16)])
 def test_oracle_matches_exact_where_the_recursion_refuses(m, k, n):
     # the reachable weight underflows in the recursion; the lumped chain
-    # has 915 and 1513 states
+    # has 915 states
     config = PoolConfig(m, k, n, TrafficModel.from_load(17.8))
     with pytest.raises(ValueError, match="underflowed"):
         compute_blocking(config)

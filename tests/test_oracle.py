@@ -1,6 +1,6 @@
 import io
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -231,7 +231,8 @@ class TestLumpedChain:
             orbit_sums[tuple(sorted(s, reverse=True))] += p
         orbits = lumped.states
         assert orbits == level_order(orbit_sums)
-        assert oracle._orbit_count(cfg) == len(orbits)
+        widths = Counter(sum(o) for o in orbits)
+        assert oracle._level_widths(cfg) == [widths[s] for s in range(n + 1)]
         pi = solve_stationary(lumped)
         want = np.array([orbit_sums[o] for o in orbits])
         assert np.all(np.abs(pi - want) <= 1e-14 * want)
@@ -244,6 +245,18 @@ class TestLumpedChain:
         try:
             with pytest.raises(ValueError, match="1002001"):
                 blocking_direct(pool(2, 2000, 2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_wide_level_block_refused_before_any_state_is_built(self):
+        # 66228 orbits, under the state cap, but levels 33 and 34 hold
+        # 22422 of them: one dense block of the solve would take 4.0 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"22422 .* cap of 2048\b"):
+                build_lumped_generator(pool(150, 28, 34, a=5.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -206,12 +206,13 @@ class TestGainVsPoolSize:
         # above it, plus one: both read the same curve
         assert dimension_pool(m, a, pth).n_min == gain_vs_pool_size([m], a, pth)[0][1]
 
-    def test_underflow_is_domain_error(self):
-        # at a = 17.8, p_th = 0.5 (K = 10) the capped pmf holds 0.0335 of
-        # the mass, and 0.0335^256 underflows every weight of column 256,
-        # so no n_min is reported (the exact one is 2285, not M*K)
-        with pytest.raises(ValueError, match=r"underflow.*M=256, N="):
-            gain_vs_pool_size([256], 17.8, 0.5)
+    def test_loose_threshold_study_is_answered(self):
+        # at a = 17.8, p_th = 0.5 (K = 10) the capped terms hold 0.0335 of
+        # the Poisson mass; the truncated law keeps column 256 at mass 1,
+        # and n_min is the exact 2285 (integer reference), not M*K
+        assert gain_vs_pool_size([256], 17.8, 0.5) == [
+            (256, 2285, 2285 / 2560, 1 - 2285 / 2560)
+        ]
 
     def test_small_pools_keep_their_rows(self):
         assert gain_vs_pool_size([2, 4, 8, 16, 32, 64], 17.8, 0.5) == [
