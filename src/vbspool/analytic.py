@@ -25,6 +25,10 @@ from .model import BlockingReport, PoolConfig
 # column spans are scaled by 2**SPAN_SCALE before they are convolved
 SPAN_SCALE = 510
 _TINY = sys.float_info.min
+# a row is untilted, read at the load a, where its weights there are at
+# least _FLOOR, and tilted, read at a rung a * 2**(-j/_RUNGS), elsewhere
+_FLOOR = 2.0**-1000
+_RUNGS = 32
 # a square of fewer entries is one np.convolve
 _SQUARE_BASE = 1000
 
@@ -56,8 +60,8 @@ def _square(x: np.ndarray) -> np.ndarray:
 class RecursionTable:
     """Normalized occupancy sums for a fixed (K, a), built on demand.
 
-    c(n, m) is the probability that m i.i.d. Poisson(a) variables, each
-    truncated to 0..K, sum to exactly n: the level weight
+    c(n, m) = _column(m)[n] is the probability that m i.i.d. Poisson(a)
+    variables, each truncated to 0..K, sum to exactly n: the level weight
     C(n, m) / phi(a)^m. r(n, m) is the same with sum strictly below n.
     poisson_pmf is the truncated law, so its entry K is Erlang-B(K, a).
     Column m of c is its m-fold convolution, built only when read, by one
@@ -73,7 +77,8 @@ class RecursionTable:
     behind r only for the columns r reads. At K = 28, a = 17.8 a fresh
     table reads columns 1024 and 1023 in 12 ms, 10**4 and 9999 in
     0.13 s, and 9999 and 9998, which need two squares per halving, in
-    0.27 s (2-vCPU Xeon VM).
+    0.27 s (2-vCPU Xeon VM). A tilted row reads the table of a lower
+    load a * 2**(-j/_RUNGS) through the same cache (_tilted).
 
     Only the nonzero span of each operand is convolved, and the product
     lands at the sum of the spans' offsets in a zero column of full
@@ -134,16 +139,6 @@ class RecursionTable:
             self._c[m] = col
         return col
 
-    def c(self, n: int, m: int) -> float:
-        """Normalized level weight: C(n, m) / phi(a)^m."""
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        if not 0 <= n <= m * self.k_radio:
-            raise ValueError(
-                f"n={n} out of range 0..{m * self.k_radio} for m={m}"
-            )
-        return float(self._column(m)[n])
-
     def r(self, n: int, m: int) -> float:
         """Normalized below-level weight: R(n, m) / phi(a)^m."""
         if m < 1:
@@ -169,20 +164,6 @@ def get_table(k_radio: int, a: float) -> RecursionTable:
     return RecursionTable(k_radio, float(a))
 
 
-def _reachable_weight(table: RecursionTable, m: int, n: int) -> float:
-    """r(N+1, M), the normalized weight of the reachable states and the
-    denominator of every probability. Raises ValueError where it
-    underflowed to 0, since every ratio over it would be 0/0 (exact
-    p_comp at M=60, K=28, N=40, a=17.8: 0.962583)."""
-    denom = float(table._below(m)[n + 1])
-    if denom == 0.0:
-        raise ValueError(
-            f"the normalized weight of the reachable states underflowed "
-            f"at M={m}, N={n}; the pool is too overloaded for the recursion"
-        )
-    return denom
-
-
 def _full_pool(m: int, k: int, a: float) -> tuple[float, float, float]:
     """(p_radio, p_comp, p_total) at N = M*K, where the VBSs are
     independent M/M/K/K systems with Erlang-B blocking B: p_total = B,
@@ -193,57 +174,108 @@ def _full_pool(m: int, k: int, a: float) -> tuple[float, float, float]:
     return p_radio, b**m, b
 
 
-def _blocking(table: RecursionTable, m: int, n, denom):
-    """(p_radio, p_comp) at N = n below M*K, for an int N with its
-    denominator r(N+1, M) as a float, or for an int array with the array
-    of them: p_comp = c(N, M) / r(N+1, M) and
+def _untilted(table: RecursionTable, m: int, n):
+    """Whether row N < M*K (an int or an int array) is untilted: whether
+    r(N+1, M), and r(N-K, M-1) for N > K, are at least _FLOOR."""
+    k = table.k_radio
+    rest = table._below(m - 1)[(n > k) * (n - k)]
+    return (table._below(m)[n + 1] >= _FLOOR) & ((n <= k) | (rest >= _FLOOR))
+
+
+def _blocking(table: RecursionTable, m: int, n):
+    """(p_radio, p_comp) at untilted rows N = n below M*K, an int or an
+    int array: p_comp = c(N, M) / r(N+1, M) and
     p_radio = p_K r(N-K, M-1) / r(N+1, M). For N <= K the radio index is
     0 and r(0, M-1) = 0, M = 1 included. An int N reads Python floats,
     whose arithmetic is quicker than numpy's on scalars and rounds the
     same."""
     k = table.k_radio
     p_k, level = table.poisson_pmf[k], table._column(m)[n]
-    rest = table._below(m - 1)[(n > k) * (n - k)]
+    rest, denom = table._below(m - 1)[(n > k) * (n - k)], table._below(m)[n + 1]
     if not isinstance(n, np.ndarray):
-        p_k, level, rest = float(p_k), float(level), float(rest)
+        p_k, level, rest, denom = float(p_k), float(level), float(rest), float(denom)
+    return p_k * rest / denom, level / denom
+
+
+@functools.lru_cache(maxsize=1024)
+def _rung(k: int, a: float, j: int) -> tuple[float, float, np.ndarray]:
+    """(theta, mean occupancy of one VBS at theta, nonzero x**t) at rung
+    j >= 1, where theta = x a and x = 2**(-j/_RUNGS). The mean
+    theta (1 - B(K, theta)) is K theta / (K + theta B(K-1, theta))."""
+    theta = a * 2.0 ** (-j / _RUNGS)
+    x_t = np.exp2(np.arange(1075 * _RUNGS // j) * (-j / _RUNGS))
+    return theta, k * theta / (k + theta * erlang_b(k - 1, theta)), x_t
+
+
+def _nearest_rung(m: int, k: int, a: float, n: int) -> int:
+    """The rung whose mean M theta (1 - B(K, theta)) is nearest N, by
+    bisection: the mean falls with j, and is M theta <= max(N, 1) at hi."""
+    lo, hi = 1, max(1, math.ceil(_RUNGS * (math.log2(a) + math.log2(m / max(n, 1)))))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if m * _rung(k, a, mid)[1] > n else (lo, mid)
+    return lo - (lo > 1 and m * _rung(k, a, lo - 1)[1] - n < n - m * _rung(k, a, lo)[1])
+
+
+def _tilted(m: int, k: int, a: float, n: int) -> tuple[float, float]:
+    """(p_radio, p_comp) at row N < M*K read at its nearest rung, where the
+    weights read lie near the peak of the columns. A state's weight at
+    load a is its weight at theta times (a/theta)**total, up to a constant
+    that cancels (Choudhury, Leung & Whitt, J. ACM 42(5), 1995). So with
+    D = sum_{i<=N} c(i, M) x**(N-i), p_comp = c(N, M) / D and
+    p_radio = p_K sum_{i<N-K} c(i, M-1) x**(N-K-i) / D."""
+    theta, _, x_t = _rung(k, a, _nearest_rung(m, k, a, n))
+    table = get_table(k, theta)
+
+    def tilted_sum(col: np.ndarray, top: int, e: int) -> float:
+        # sum_{i<top} col[i] x**(e-i) over the nonzero powers
+        i = max(0, e - x_t.size + 1)
+        return float((col[i:top] * x_t[e - top + 1 : e - i + 1][::-1]).sum())
+
+    denom = tilted_sum(table._column(m), n + 1, n)
+    rest = tilted_sum(table._column(m - 1), n - k, n - k) if n > k else 0.0
+    p_k, level = float(table.poisson_pmf[k]), float(table._column(m)[n])
     return p_k * rest / denom, level / denom
 
 
 def compute_blocking(config: PoolConfig) -> BlockingReport:
     """Exact blocking probabilities for one (M, K, N, a) instance.
 
-    N = M*K is answered in closed form from Erlang-B, every other N by
-    _blocking. Raises ValueError where r(N+1, M) underflowed.
+    N = M*K is answered in closed form from Erlang-B, an untilted row
+    by _blocking, and a tilted one by _tilted.
     """
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
     if n == m * k:
         return BlockingReport(*_full_pool(m, k, a))
     table = get_table(k, a)
-    p_radio, p_comp = _blocking(table, m, n, _reachable_weight(table, m, n))
+    untilted = _untilted(table, m, n)
+    p_radio, p_comp = _blocking(table, m, n) if untilted else _tilted(m, k, a, n)
     return BlockingReport(p_radio, p_comp, p_radio + p_comp)
 
 
 def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, ...]:
     """Arrays (N, p_radio, p_comp, p_total) over N descending from M*K,
-    row for row as compute_blocking: N = M*K in closed form, every other
-    N by _blocking on arrays. The rows end at the first N whose p_total
-    exceeds stop, that row included, or at N = 0. Raises ValueError where
-    r(N+1, M) underflowed within them; at the lowest N with a nonzero
-    weight p_comp = c/c = 1, so a stop below 1 ends there."""
+    row for row as compute_blocking: N = M*K in closed form, the untilted
+    rows by _blocking on arrays, and the tilted rows one at a time. The
+    rows end at the first N whose p_total exceeds stop, that row
+    included, or at N = 0, where p_comp = 1."""
     if m < 1:
         raise ValueError(f"pool size must be >= 1, got {m}")
-    nk = m * k
+    n = np.arange(m * k, -1, -1)
     table = get_table(k, a)
-    below = table._below(m)
-    # below[N+1] = r(N+1, M) rises with N and is 0 exactly for N < lowest
-    lowest = min(int(np.searchsorted(below, 0.0, side="right")) - 1, nk)
-    n = np.arange(nk, lowest - 1, -1)
-    p_radio, p_comp, p_total = np.zeros((3, n.size))
-    p_radio[0], p_comp[0], p_total[0] = _full_pool(m, k, a)
-    p_radio[1:], p_comp[1:] = _blocking(table, m, n[1:], below[n[1:] + 1])
-    p_total[1:] = p_radio[1:] + p_comp[1:]
-    over = np.flatnonzero(p_total > stop)
-    if not over.size and lowest > 0:
-        _reachable_weight(table, m, lowest - 1)  # r(N+1, M) = 0 there: raises
-    rows = over[0] + 1 if over.size else n.size
+    untilted = np.append(True, _untilted(table, m, n[1:]))
+    p_radio, p_comp = np.zeros((2, n.size))
+    p_radio[untilted], p_comp[untilted] = _blocking(table, m, n[untilted])
+    p_radio[0], p_comp[0], b = _full_pool(m, k, a)
+    p_total = np.append(b, p_radio[1:] + p_comp[1:])
+    # the tilted rows, read top down until a row above them exceeds stop
+    rows = 0
+    for i in np.flatnonzero(~untilted):
+        if (p_total[rows:i] > stop).any():
+            break
+        p_radio[i], p_comp[i] = _tilted(m, k, a, int(n[i]))
+        p_total[i] = p_radio[i] + p_comp[i]
+        rows = i
+    over = np.flatnonzero(p_total[rows:] > stop)
+    rows = rows + over[0] + 1 if over.size else n.size
     return n[:rows], p_radio[:rows], p_comp[:rows], p_total[:rows]

@@ -43,8 +43,11 @@ import numpy as np
 from .model import BlockingReport, PoolConfig
 
 STATE_CAP = 10**6
-# the solve holds two adjacent levels as one dense block: 32 MiB at the cap
-BLOCK_CAP = 2048
+# the level solve's work W = sum over levels L of w_L (w_{L-1} + w_L)^2,
+# for w_L orbits on level L, takes about 2 ns per unit (2-vCPU Xeon VM).
+# The widest two-level block B has W >= B^3 / 8, so B <= 2048 at the cap:
+# one dense block of at most 32 MiB
+WORK_CAP = 2**30
 # orbit counts saturate here, far above any cap
 _SATURATED = 2**61
 
@@ -89,8 +92,8 @@ def build_lumped_generator(config: PoolConfig) -> EnumeratedChain:
     the VBS a free r-server (v < K), at rate h_v * lambda; a departure
     from one of them has rate h_v * v * mu. Moving the first of them up,
     or the last down, keeps the vector non-increasing. A pool with more
-    than STATE_CAP orbits, or with two adjacent levels of more than
-    BLOCK_CAP orbits together, is refused before any state is built.
+    than STATE_CAP orbits, or whose level solve needs more than WORK_CAP
+    units of work, is refused before any state is built.
     """
     widths = _level_widths(config)
     size = sum(widths)
@@ -99,11 +102,11 @@ def build_lumped_generator(config: PoolConfig) -> EnumeratedChain:
         raise ValueError(
             f"lumped chain has {at_least}{size} states, above the cap of {STATE_CAP}"
         )
-    block = max(map(sum, zip([0] + widths, widths)))
-    if block > BLOCK_CAP:
+    work = sum(w * (v + w) ** 2 for v, w in zip([0] + widths, widths))
+    if work > WORK_CAP:
         raise ValueError(
-            f"lumped chain has {block} states on two adjacent levels, above "
-            f"the cap of {BLOCK_CAP} on the solve's dense level block"
+            f"the lumped chain's level solve needs W = {work:.3g} units of work, "
+            f"about {2e-9 * work:.3g} s, above the cap of {WORK_CAP:.3g}"
         )
     K, N, M = config.k_radio, config.n_comp, config.m_vbs
     lam, mu = config.traffic.lam, config.traffic.mu

@@ -88,8 +88,7 @@ def knee_point(sweep: SweepResult) -> int:
     crossover, the curve is read on below them to the first N whose
     p_total rounds to 1. There nearly every session is blocked, which
     radio blocking cannot do with a c-server free, so p_comp leads; at
-    the lowest N with a nonzero weight p_comp is 1, so the read ends
-    there at the latest and raises nothing."""
+    N = 0 p_comp is 1, so the read ends there at the latest."""
     for pt in sweep.points:
         if pt.p_comp > pt.p_radio:
             return pt.n_comp

@@ -20,6 +20,7 @@ from vbspool.oracle import blocking_direct
 from vbspool.planner import gain_vs_pool_size
 
 from labelled import enumerate_states, product_form
+from test_exact_reference import exact_rows, rel_err
 
 
 def pool(m, k, n, a=1.0):
@@ -50,7 +51,7 @@ def sequential_columns(k, a, m_max):
 
 
 def column(table, m):
-    return np.array([table.c(n, m) for n in range(m * table.k_radio + 1)])
+    return table._column(m)
 
 
 def below(table, m):
@@ -81,19 +82,19 @@ def brute_r(n, m, k, a):
 
 class TestRecursionValues:
     def test_zero_level_is_empty_state(self):
-        assert get_table(2, 1.0).c(0, 3) == pytest.approx(
+        assert get_table(2, 1.0)._column(3)[0] == pytest.approx(
             phi(2, 1.0) ** -3, rel=1e-14
         )
 
     def test_level_one_two_vbs(self):
         # states (1,0) and (0,1)
-        assert get_table(3, 1.0).c(1, 2) == pytest.approx(
+        assert get_table(3, 1.0)._column(2)[1] == pytest.approx(
             2 * phi(3, 1.0) ** -2, rel=1e-14
         )
 
     def test_top_level_single_state(self):
         # only (3,3)
-        assert get_table(3, 1.0).c(6, 2) == pytest.approx(
+        assert get_table(3, 1.0)._column(2)[6] == pytest.approx(
             (1 / math.factorial(3)) ** 2 * phi(3, 1.0) ** -2, rel=1e-14
         )
 
@@ -115,7 +116,7 @@ class TestRecursionValues:
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
     def test_matches_exhaustive_enumeration(self, m, k, a):
         for n in range(m * k + 1):
-            assert get_table(k, a).c(n, m) == pytest.approx(
+            assert get_table(k, a)._column(m)[n] == pytest.approx(
                 brute_c(n, m, k, a), rel=1e-12
             )
         for n in range(m * k + 2):
@@ -128,14 +129,14 @@ class TestRecursionValues:
         for m in (1, 2, 4):
             for n in range(m * 3 + 1):
                 assert table.r(n + 1, m) - table.r(n, m) == pytest.approx(
-                    table.c(n, m), rel=1e-12, abs=1e-300
+                    table._column(m)[n], rel=1e-12, abs=1e-300
                 )
 
     def test_all_entries_normalized(self):
         table = RecursionTable(28, 17.8)
         for m in (1, 10, 50, 100):
             for n in range(m * 28 + 1):
-                assert 0.0 <= table.c(n, m) <= 1.0
+                assert 0.0 <= table._column(m)[n] <= 1.0
                 assert 0.0 <= table.r(n, m) <= 1.0
 
     @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
@@ -146,13 +147,11 @@ class TestRecursionValues:
     def test_argument_errors(self):
         table = RecursionTable(3, 1.0)
         with pytest.raises(ValueError):
-            table.c(-1, 2)
-        with pytest.raises(ValueError):
-            table.c(7, 2)
+            table.r(-1, 2)
         with pytest.raises(ValueError):
             table.r(8, 2)
         with pytest.raises(ValueError):
-            table.c(0, 0)
+            table.r(0, 0)
 
 
 class TestColumnsOnDemand:
@@ -181,7 +180,7 @@ class TestColumnsOnDemand:
     def test_convolves_normal_nonzero_spans_only(self, convolve_operands):
         # zero tails are not convolved, and no operand is subnormal, so
         # no product is subnormal or a multiply by zero
-        RecursionTable(28, 17.8).c(0, 1024)
+        RecursionTable(28, 17.8)._column(1024)
         assert len(convolve_operands) >= 20
         tiny = np.finfo(float).tiny
         for x in convolve_operands:
@@ -386,11 +385,16 @@ class TestBlockingCurve:
         self.assert_rows_are_compute_blocking(m, k, a, curve)
 
     def test_overloaded_pool_down_to_lowest_nonzero_weight(self):
-        # at M = 60 the weights are nonzero from N = 96 up; there
-        # r(N+1, M) = c(N, M), so p_comp = 1 exactly ends any stop below 1
+        # at M = 60 the weights at the offered load are 0 below N = 96 and
+        # subnormal up to N = 130; rows up to N = 139 are read at a tilted
+        # load, and the curve runs on to the exact first row above 0.99
         curve = blocking_curve(60, 28, 17.8, 0.99)
-        assert curve[0][-1] == 96
-        assert curve[2][-1] == 1.0
+        rows = exact_rows(60)
+        assert curve[0][-1] == 10
+        for n, p_radio, p_comp, _ in zip(*(x.tolist() for x in curve)):
+            radio, comp, den = rows[n]
+            assert rel_err(p_radio, radio / den) <= 1e-12, n
+            assert rel_err(p_comp, comp / den) <= 1e-12, n
         self.assert_rows_are_compute_blocking(60, 28, 17.8, curve)
         self.assert_stops_at_first_excess(curve, 0.99)
 
@@ -407,8 +411,16 @@ class TestBlockingCurve:
         assert curve[3][0] == erlang_b(8, 17.8) > 0.5
 
     def test_full_descent_into_underflow_raises_at_largest_n(self):
-        with pytest.raises(ValueError, match=r"underflow.*M=60, N=95\b"):
-            blocking_curve(60, 28, 17.8, math.inf)
+        # r(N+1, M) is 0 at the offered load for N <= 95 at M = 60; every
+        # row is read down to N = 0, where p_comp is 1
+        curve = blocking_curve(60, 28, 17.8, math.inf)
+        assert curve[0].tolist() == list(range(60 * 28, -1, -1))
+        rows = exact_rows(60)
+        for n in (95, 1, 0):
+            radio, comp, den = rows[n]
+            assert rel_err(curve[1][-1 - n], radio / den) <= 1e-12, n
+            assert rel_err(curve[2][-1 - n], comp / den) <= 1e-12, n
+        assert curve[2][-1] == 1.0
 
     def test_loose_threshold_column_answers_below_full_pool(self):
         # at a = 17.8, K = 10 the capped terms hold 0.0335 of the Poisson

@@ -10,6 +10,9 @@ from vbspool.cli import main
 from vbspool.erlang import erlang_b
 from vbspool.model import PoolConfig, TrafficModel
 from vbspool.oracle import blocking_direct, build_lumped_generator
+from vbspool.planner import dimension_pool
+
+from test_exact_reference import exact_rows, rel_err
 
 
 def run(capsys, *argv):
@@ -50,15 +53,17 @@ class TestBlocking:
         )
 
     def test_underflow_exits_one(self, capsys):
-        # r(N+1, M) underflows to 0; the exact p_comp is 0.962583, not
-        # the placeholder 1
+        # r(N+1, M) underflows to 0 at the offered load, so the row is read
+        # at a tilted load: the exact p_comp 0.962583, not the placeholder 1
         code, out, err = run(
             capsys, "blocking", "--m", "60", "--k", "28", "--n", "40", "--a", "17.8"
         )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "underflow" in err
-        assert len(err.splitlines()) == 1
+        assert code == 0
+        assert err == ""
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        radio, comp, den = exact_rows(60)[40]
+        assert values["p_radio"] == f"{radio / den:.12g}"
+        assert values["p_comp"] == f"{comp / den:.12g}" == "0.962583176126"
 
     def test_missing_flags_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -295,9 +300,9 @@ class TestOracleCommand:
         assert len(err.splitlines()) == 1
 
     def test_underflow_reports_the_oracle_alone(self, capsys):
-        # r(N+1, M) underflows to 0: there is no recursion value to
-        # compare the oracle's p_comp = 4.5 a^2 / (1 + 3a + 4.5 a^2) against,
-        # so the record carries the oracle's answer and a null deviation
+        # r(N+1, M) underflows to 0 at the offered load; the recursion reads
+        # the row at a tilted load and agrees with the oracle's
+        # p_comp = 4.5 a^2 / (1 + 3a + 4.5 a^2)
         code, out, err = run(
             capsys, "oracle", "--m", "3", "--k", "800", "--n", "2", "--a", "700",
             "--format", "json",
@@ -306,10 +311,8 @@ class TestOracleCommand:
         result = json.loads(out)["result"]
         want = blocking_direct(PoolConfig(3, 800, 2, TrafficModel.from_load(700)))
         assert result["p_comp"] == float(f"{want.p_comp:.12g}") == 0.999048072562
-        assert result["max_relative_deviation"] is None
-        assert err.startswith("warning:") and "underflow" in err
-        assert "disagree" not in err
-        assert len(err.splitlines()) == 1
+        assert result["max_relative_deviation"] <= 1e-9
+        assert err == ""
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_builds_the_chain_once(self, capsys, tmp_path, monkeypatch, dump):
@@ -428,9 +431,17 @@ class TestSweepCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_underflow_exits_one(self, capsys, tmp_path):
-        # the full descent at M = 60 reaches N where the recursion
-        # underflows; no placeholder row ,0,1,1 is written, and with a
-        # good M = 10 before it no file is written for that one either
+        # the full descent at M = 60 reaches N where the weights at the
+        # offered load underflow; those rows are read at a tilted load, and
+        # every row of the CSV is the library's, within 1e-12 of exact
+        rows = exact_rows(60)
+        want = []
+        for pt in dimension_pool(60, 17.8, 1e-2, full_descent=True).points:
+            radio, comp, den = rows[pt.n_comp]
+            assert rel_err(pt.p_radio, radio / den) <= 1e-12, pt.n_comp
+            assert rel_err(pt.p_comp, comp / den) <= 1e-12, pt.n_comp
+            want.append(f"{pt.n_comp},{pt.normalized_n:.12g},{pt.p_radio:.12g},"
+                        f"{pt.p_comp:.12g},{pt.p_total:.12g}")
         for pools in (["--m", "60"], ["--m", "10", "--m", "60"]):
             outdir = tmp_path / str(len(pools))
             outdir.mkdir()
@@ -439,16 +450,18 @@ class TestSweepCommand:
                 "sweep", *pools, "--a", "17.8", "--pth", "1e-2",
                 "--full-descent", "--outdir", str(outdir),
             )
-            assert code == 1
-            assert out == ""
-            assert err.startswith("error:") and "underflow" in err and "M=60" in err
-            assert len(err.splitlines()) == 1
-            assert list(outdir.iterdir()) == []
+            assert code == 0
+            assert err == ""
+            assert len(list(outdir.glob("sweep_m*.csv"))) == len(pools) // 2
+            (path,) = outdir.glob("sweep_m60_*.csv")
+            assert path.read_text().splitlines()[2:] == want
+            assert len(want) == 60 * 28 + 1
 
     def test_underflowed_rows_warn(self, capsys, tmp_path):
         # p_comp is positive at every N but below the normal range on
-        # 5527 rows (5409 of them 0), and p_radio is 0 at N = 12896..12919
-        # although N > K; the CSV is written as before, with one warning
+        # 5527 rows (5409 of them 0); p_radio, whose weights at the offered
+        # load underflow at N = 12896..12919, is read there at a tilted load
+        # and is normal; the CSV is written as before, with one warning
         code, out, err = run(
             capsys,
             "sweep", "--m", "1000", "--a", "17.8", "--pth", "1e-2",
@@ -456,7 +469,7 @@ class TestSweepCommand:
         )
         assert code == 0
         (line,) = err.splitlines()
-        assert line.startswith("warning: m=1000: 5551 rows ")
+        assert line.startswith("warning: m=1000: 5527 rows ")
         assert "normal range" in line
         (path,) = tmp_path.glob("sweep_m1000_*.csv")
         rows = [
@@ -468,7 +481,9 @@ class TestSweepCommand:
         zero = [n for n, _, _, p_comp, _ in rows if p_comp == 0.0]
         radio = [n for n, _, p_radio, p_comp, _ in rows if p_radio < tiny <= p_comp]
         assert (len(comp), len(zero)) == (5527, 5409)
-        assert radio == list(range(12919, 12895, -1))
+        assert radio == []
+        by_n = {int(row[0]): row for row in rows}
+        assert all(by_n[n][2] >= tiny for n in range(12896, 12920))
 
     def test_normal_sweep_prints_no_warning(self, capsys, tmp_path):
         code, _, err = run(

@@ -17,12 +17,14 @@ These tests are the evidence behind acceptance criteria 5 and 6: the
 curves and dimensioning points those criteria judge are exact.
 """
 
+import functools
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from vbspool import analytic
 from vbspool.analytic import blocking_curve, compute_blocking
 from vbspool.cli import main
 from vbspool.erlang import dimension_radio
@@ -80,6 +82,13 @@ def exact_curve(m, counts, k=K):
         radio = radio_factor * rest_below[n - k] if n > k else 0
         rows.append((radio, comp, den))
     return rows
+
+
+@functools.lru_cache(maxsize=None)
+def exact_rows(m, k=K):
+    """exact_curve(m, level_counts(m, k), k), shared by the tests that read
+    the same pool."""
+    return exact_curve(m, level_counts(m, k), k)
 
 
 def exact_n_min(rows):
@@ -269,31 +278,107 @@ def test_m60_k6_full_descent_and_oracle_match_exact():
 
 @pytest.mark.parametrize("m, k, n", [(60, 28, 16)])
 def test_oracle_matches_exact_where_the_recursion_refuses(m, k, n):
-    # the reachable weight underflows in the recursion; the lumped chain
-    # has 915 states
+    # the reachable weight underflows at the offered load, and the
+    # recursion reads the row at a tilted load; the lumped chain has 915
+    # states
     config = PoolConfig(m, k, n, TrafficModel.from_load(17.8))
-    with pytest.raises(ValueError, match="underflowed"):
-        compute_blocking(config)
-    report = blocking_direct(config)
-    radio, comp, den = exact_curve(m, level_counts(m, k), k)[n]
-    worst = max(
-        rel_err(report.p_radio, radio / den),
-        rel_err(report.p_comp, comp / den),
-        rel_err(report.p_total, (radio + comp) / den),
-    )
-    assert worst <= 1e-12, f"worst relative error {worst:.3e}"
+    radio, comp, den = exact_rows(m, k)[n]
+    for report in (blocking_direct(config), compute_blocking(config)):
+        worst = max(
+            rel_err(report.p_radio, radio / den),
+            rel_err(report.p_comp, comp / den),
+            rel_err(report.p_total, (radio + comp) / den),
+        )
+        assert worst <= 1e-12, f"worst relative error {worst:.3e}"
 
 
 def test_oracle_command_answers_where_the_recursion_refuses(capsys):
-    # the recursion underflows at (60, 28, 16); the command reports the
-    # oracle's answer with no deviation, and exits 0
+    # the weights at the offered load underflow at (60, 28, 16); the
+    # command reports the oracle's answer and its deviation from the
+    # recursion's, and exits 0 with no warning
     code = main(
         ["oracle", "--m", "60", "--k", "28", "--n", "16", "--a", "17.8",
          "--format", "json"]
     )
     assert code == 0
-    result = json.loads(capsys.readouterr().out)["result"]
-    assert result["max_relative_deviation"] is None
-    radio, comp, den = exact_curve(60, level_counts(60, 28))[16]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out)["result"]
+    assert result["max_relative_deviation"] <= 1e-9
+    radio, comp, den = exact_rows(60)[16]
     assert abs(result["p_radio"] - radio / den) <= 1e-12
     assert abs(result["p_comp"] - comp / den) <= 1e-12
+
+
+def exact_point(m, k, n, a):
+    """(p_radio, p_comp) as Fractions at N = n for the Fraction load a,
+    from the counts T_j(i) for i <= n only."""
+    cols = [[1] + [0] * n]
+    for j in range(1, m + 1):
+        prev, col = cols[-1], [1]
+        for i in range(1, n + 1):
+            spill = math.comb(i - 1, k) * prev[i - 1 - k] if i > k else 0
+            col.append(j * (col[-1] - spill))
+        cols.append(col)
+    weight = [a**i / math.factorial(i) for i in range(n + 1)]
+    den = sum(w * t for w, t in zip(weight, cols[m]))
+    rest = sum(w * t for w, t in zip(weight[: max(n - k, 0)], cols[m - 1]))
+    return weight[k] * rest / den if k <= n else 0, weight[n] * cols[m][n] / den
+
+
+def test_m60_matches_exact_in_the_overloaded_band():
+    # N <= 139 at M = 60 is read at a tilted load: the weights at the
+    # offered load are 0 below N = 96 and subnormal up to N = 130
+    m = 60
+    rows = exact_rows(m)
+    worst = 0.0
+    for n in range(131):
+        report = compute_blocking(PoolConfig(m, K, n, TrafficModel.from_load(17.8)))
+        radio, comp, den = rows[n]
+        worst = max(
+            worst,
+            rel_err(report.p_radio, radio / den),
+            rel_err(report.p_comp, comp / den),
+            rel_err(report.p_total, (radio + comp) / den),
+        )
+    assert worst <= 1e-12, f"worst relative error {worst:.3e}"
+
+
+@pytest.mark.parametrize(
+    "m, k, n, a",
+    [(100, 28, 300, Fraction(A_NUM, A_DEN)), (100, 28, 428, Fraction(A_NUM, A_DEN)),
+     (150, 28, 34, Fraction(5)), (202, 28, 113, Fraction(5))],
+)
+def test_tilted_rows_match_exact(m, k, n, a):
+    # r(N+1, M) at M = 100, and r(N-K, M-1) of p_radio at a = 5, hold
+    # weights below the normal range at the offered load (p_radio read
+    # there was 10% and 5% off at a = 5)
+    radio, comp = exact_point(m, k, n, a)
+    report = compute_blocking(PoolConfig(m, k, n, TrafficModel.from_load(float(a))))
+    assert rel_err(report.p_radio, float(radio)) <= 1e-12
+    assert rel_err(report.p_comp, float(comp)) <= 1e-12
+    assert rel_err(report.p_total, float(radio + comp)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(60, 0), (60, 40), (60, 139), (1024, 9114), (1024, 13435)])
+def test_tilted_rows_agree_at_neighbouring_rungs(m, n, monkeypatch):
+    # the tilt is exact, so a tilted row read one rung above or below its
+    # nearest agrees with it
+    nearest = analytic._nearest_rung(m, K, 17.8, n)
+    config = PoolConfig(m, K, n, TrafficModel.from_load(17.8))
+    report = compute_blocking(config)
+    for rung in (nearest - 1, nearest + 1):
+        monkeypatch.setattr(analytic, "_nearest_rung", lambda *args: rung)
+        if rung >= 1:
+            moved = compute_blocking(config)
+            assert rel_err(moved.p_radio, report.p_radio) <= 1e-12
+            assert rel_err(moved.p_comp, report.p_comp) <= 1e-12
+
+
+def test_early_stopping_sweep_ends_at_the_half_crossing():
+    # at M = 1024 the rows N <= 13435 are tilted; the curve stopped at 0.5
+    # ends on the first row above it, N = 9114 with p_total 0.500033
+    curve = blocking_curve(1024, K, 17.8, 0.5)
+    assert curve[0][-1] == 9114
+    assert curve[3][-1] == pytest.approx(0.500033, abs=1e-6)
+    assert curve[3][-2] <= 0.5

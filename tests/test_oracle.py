@@ -1,4 +1,5 @@
 import io
+import time
 import tracemalloc
 from collections import Counter, defaultdict
 
@@ -252,15 +253,37 @@ class TestLumpedChain:
 
     def test_wide_level_block_refused_before_any_state_is_built(self):
         # 66228 orbits, under the state cap, but levels 33 and 34 hold
-        # 22422 of them: one dense block of the solve would take 4.0 GB
+        # 22422 of them: one dense block of the solve would take 4.0 GB,
+        # and the solve would need W = 1.39e13 units of work
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"22422 .* cap of 2048\b"):
+            with pytest.raises(ValueError, match=r"W = 1\.39e\+13 .* cap of 1\.07e\+09"):
                 build_lumped_generator(pool(150, 28, 34, a=5.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_slow_solve_refused_before_any_state_is_built(self):
+        # 70001 orbits and a widest two-level block of 1681, under the state
+        # cap and far from a large block, but W = 1.39e11 units of work:
+        # about 5 minutes of level solve at 2 ns per unit
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=r"W = 1\.39e\+11 .* about 278 s"):
+                build_lumped_generator(pool(3, 80, 150, a=20.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1_000_000
+
+    def test_work_cap_bounds_the_level_block(self):
+        # W >= B^3 / 8 for the widest two-level block B, so B <= 2048 under
+        # the cap; (3, 80, 40) has W = 9.21e7 and is solved
+        assert oracle.WORK_CAP <= 2048**3 // 8
+        assert 0.0 < blocking_direct(pool(3, 80, 40, a=20.0)).p_total < 1.0
 
 
 class TestSolveMemory:

@@ -2,7 +2,6 @@ import gc
 import io
 import json
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,8 @@ from vbspool.planner import (
     sweep_summary,
     sweep_to_csv,
 )
+
+from test_exact_reference import exact_rows, rel_err
 
 
 class TestDimensionPool:
@@ -62,18 +63,23 @@ class TestDimensionPool:
         assert partial.points[-1].p_total > 0.5 or partial.points[-1].n_comp == 0
 
     def test_underflow_is_domain_error(self):
-        # the recursion underflows below N = 96 at M = 60; the sweep
-        # names the first such N
-        with pytest.raises(ValueError, match="underflow") as exc:
-            dimension_pool(60, 17.8, 1e-2, full_descent=True)
-        found = re.search(r"M=60, N=(\d+)\b", str(exc.value))
-        assert found
-        n = int(found.group(1))
-        assert n == 95
+        # the weights at the offered load underflow to 0 below N = 96 at
+        # M = 60; the sweep reads those rows at a tilted load, and matches
+        # the exact values on both sides of N = 96
+        sweep = dimension_pool(60, 17.8, 1e-2, full_descent=True)
+        assert [pt.n_comp for pt in sweep.points] == list(range(60 * 28, -1, -1))
+        rows = exact_rows(60)
         traffic = TrafficModel.from_load(17.8)
-        with pytest.raises(ValueError, match=f"underflow.*M=60, N={n}\\b"):
-            compute_blocking(PoolConfig(60, 28, n, traffic))
-        assert compute_blocking(PoolConfig(60, 28, n + 1, traffic)).p_comp > 0.0
+        for n in (95, 96):
+            pt = sweep.points[-1 - n]
+            report = compute_blocking(PoolConfig(60, 28, n, traffic))
+            assert (pt.p_radio, pt.p_comp, pt.p_total) == (
+                report.p_radio, report.p_comp, report.p_total
+            )
+            radio, comp, den = rows[n]
+            assert rel_err(report.p_radio, radio / den) <= 1e-12
+            assert rel_err(report.p_comp, comp / den) <= 1e-12
+        assert compute_blocking(PoolConfig(60, 28, 96, traffic)).p_comp > 0.0
 
     def test_normalized_axis(self):
         sweep = dimension_pool(2, 1.0, 0.5)
