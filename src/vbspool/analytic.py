@@ -118,6 +118,7 @@ class RecursionTable:
         self._pmf_span = j, np.ldexp(y, SPAN_SCALE)
         self._c: dict[int, np.ndarray] = {0: np.ones(1), 1: p}
         self._r: dict[int, np.ndarray] = {}
+        self._u: dict[int, np.ndarray] = {}
 
     def _column(self, m: int) -> np.ndarray:
         col = self._c.get(m)
@@ -155,6 +156,17 @@ class RecursionTable:
             below = self._r[m] = np.concatenate(([0.0], np.cumsum(self._column(m))))
         return below
 
+    def _untilted(self, m: int) -> np.ndarray:
+        """Whether each row N < m*K is untilted: whether r(N+1, m), and
+        r(N-K, m-1) for N > K, are at least _FLOOR. Kept per m."""
+        untilted = self._u.get(m)
+        if untilted is None:
+            k, n = self.k_radio, np.arange(m * self.k_radio)
+            rest = self._below(m - 1)[(n > k) * (n - k)]
+            untilted = (self._below(m)[n + 1] >= _FLOOR) & ((n <= k) | (rest >= _FLOOR))
+            self._u[m] = untilted
+        return untilted
+
 
 @functools.lru_cache(maxsize=16)
 def get_table(k_radio: int, a: float) -> RecursionTable:
@@ -174,17 +186,9 @@ def _full_pool(m: int, k: int, a: float) -> tuple[float, float, float]:
     return p_radio, b**m, b
 
 
-def _untilted(table: RecursionTable, m: int, n):
-    """Whether row N < M*K (an int or an int array) is untilted: whether
-    r(N+1, M), and r(N-K, M-1) for N > K, are at least _FLOOR."""
-    k = table.k_radio
-    rest = table._below(m - 1)[(n > k) * (n - k)]
-    return (table._below(m)[n + 1] >= _FLOOR) & ((n <= k) | (rest >= _FLOOR))
-
-
 def _blocking(table: RecursionTable, m: int, n):
-    """(p_radio, p_comp) at untilted rows N = n below M*K, an int or an
-    int array: p_comp = c(N, M) / r(N+1, M) and
+    """(p_radio, p_comp) at untilted rows N = n below M*K (an int or an
+    int array): p_comp = c(N, M) / r(N+1, M) and
     p_radio = p_K r(N-K, M-1) / r(N+1, M). For N <= K the radio index is
     0 and r(0, M-1) = 0, M = 1 included. An int N reads Python floats,
     whose arithmetic is quicker than numpy's on scalars and rounds the
@@ -248,7 +252,7 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
     if n == m * k:
         return BlockingReport(*_full_pool(m, k, a))
     table = get_table(k, a)
-    untilted = _untilted(table, m, n)
+    untilted = table._untilted(m)[n]
     p_radio, p_comp = _blocking(table, m, n) if untilted else _tilted(m, k, a, n)
     return BlockingReport(p_radio, p_comp, p_radio + p_comp)
 
@@ -263,7 +267,7 @@ def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, .
         raise ValueError(f"pool size must be >= 1, got {m}")
     n = np.arange(m * k, -1, -1)
     table = get_table(k, a)
-    untilted = np.append(True, _untilted(table, m, n[1:]))
+    untilted = np.append(True, table._untilted(m)[::-1])
     p_radio, p_comp = np.zeros((2, n.size))
     p_radio[untilted], p_comp[untilted] = _blocking(table, m, n[untilted])
     p_radio[0], p_comp[0], b = _full_pool(m, k, a)

@@ -377,9 +377,13 @@ class TestBlockingCurve:
         assert p_total[-1] > stop
         assert (p_total[:-1] <= stop).all()
 
-    @pytest.mark.parametrize("m, k, a", [(1, 5, 3.0), (2, 5, 3.0), (10, 28, 17.8)])
+    @pytest.mark.parametrize(
+        "m, k, a", [(1, 5, 3.0), (2, 5, 3.0), (10, 28, 17.8), (41, 28, 17.8)]
+    )
     def test_full_descent_is_compute_blocking_bit_for_bit(self, m, k, a):
-        # every row, N <= K (no radio term) and N = M*K (closed form) included
+        # every row, N <= K (no radio term) and N = M*K (closed form)
+        # included; at M = 41 the tilted rows are N = 0..6 and 29..32, so
+        # rows above and below K are read at a and the band between is not
         curve = blocking_curve(m, k, a, math.inf)
         assert curve[0][-1] == 0
         self.assert_rows_are_compute_blocking(m, k, a, curve)

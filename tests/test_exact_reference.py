@@ -134,7 +134,7 @@ def test_radio_dimensioning_is_exact():
     assert dimension_radio(17.8, 1e-2) == K
 
 
-@pytest.mark.parametrize("m", [10, 30])
+@pytest.mark.parametrize("m", [10, 30, 41])
 def test_full_descent_sweep_matches_exact(m):
     sweep = dimension_pool(m, 17.8, 1e-2, full_descent=True)
     rows = exact_curve(m, level_counts(m, K))
