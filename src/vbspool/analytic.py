@@ -213,7 +213,8 @@ def _rung(k: int, a: float, j: int) -> tuple[float, float, np.ndarray]:
 
 def _nearest_rung(m: int, k: int, a: float, n: int) -> int:
     """The rung whose mean M theta (1 - B(K, theta)) is nearest N, by
-    bisection: the mean falls with j, and is M theta <= max(N, 1) at hi."""
+    bisection: the mean falls with j, and is at most M theta <= max(N, 1)
+    at hi."""
     lo, hi = 1, max(1, math.ceil(_RUNGS * (math.log2(a) + math.log2(m / max(n, 1)))))
     while lo < hi:
         mid = (lo + hi) // 2
@@ -226,7 +227,7 @@ def _tilted(m: int, k: int, a: float, n: int) -> tuple[float, float]:
     weights read lie near the peak of the columns. A state's weight at
     load a is its weight at theta times (a/theta)**total, up to a constant
     that cancels (Choudhury, Leung & Whitt, J. ACM 42(5), 1995). So with
-    D = sum_{i<=N} c(i, M) x**(N-i), p_comp = c(N, M) / D and
+    x = theta/a and D = sum_{i<=N} c(i, M) x**(N-i), p_comp = c(N, M) / D and
     p_radio = p_K sum_{i<N-K} c(i, M-1) x**(N-K-i) / D."""
     theta, _, x_t = _rung(k, a, _nearest_rung(m, k, a, n))
     table = get_table(k, theta)
