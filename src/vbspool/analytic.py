@@ -161,10 +161,8 @@ class RecursionTable:
         r(N-K, m-1) for N > K, are at least _FLOOR. Kept per m."""
         untilted = self._u.get(m)
         if untilted is None:
-            k, n = self.k_radio, np.arange(m * self.k_radio)
-            rest = self._below(m - 1)[(n > k) * (n - k)]
-            untilted = (self._below(m)[n + 1] >= _FLOOR) & ((n <= k) | (rest >= _FLOOR))
-            self._u[m] = untilted
+            untilted = self._u[m] = self._below(m)[1:-1] >= _FLOOR
+            untilted[self.k_radio + 1 :] &= self._below(m - 1)[1:-2] >= _FLOOR
         return untilted
 
 
@@ -260,27 +258,29 @@ def compute_blocking(config: PoolConfig) -> BlockingReport:
 
 def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, ...]:
     """Arrays (N, p_radio, p_comp, p_total) over N descending from M*K,
-    row for row as compute_blocking: N = M*K in closed form, the untilted
-    rows by _blocking on arrays, and the tilted rows one at a time. The
-    rows end at the first N whose p_total exceeds stop, that row
-    included, or at N = 0, where p_comp = 1."""
+    row for row as compute_blocking: N = M*K in closed form, and every
+    other row by _blocking or _tilted. The rows end at the first N whose
+    p_total exceeds stop, that row included, or at N = 0, where
+    p_comp = 1."""
     if m < 1:
         raise ValueError(f"pool size must be >= 1, got {m}")
     n = np.arange(m * k, -1, -1)
     table = get_table(k, a)
-    untilted = np.append(True, table._untilted(m)[::-1])
-    p_radio, p_comp = np.zeros((2, n.size))
-    p_radio[untilted], p_comp[untilted] = _blocking(table, m, n[untilted])
-    p_radio[0], p_comp[0], b = _full_pool(m, k, a)
-    p_total = np.append(b, p_radio[1:] + p_comp[1:])
-    # the tilted rows, read top down until a row above them exceeds stop
-    rows = 0
-    for i in np.flatnonzero(~untilted):
-        if (p_total[rows:i] > stop).any():
-            break
-        p_radio[i], p_comp[i] = _tilted(m, k, a, int(n[i]))
-        p_total[i] = p_radio[i] + p_comp[i]
-        rows = i
-    over = np.flatnonzero(p_total[rows:] > stop)
-    rows = rows + over[0] + 1 if over.size else n.size
+    untilted = table._untilted(m)
+    # rows above the highest tilted one are read on arrays, the rest one
+    # at a time, down to the first row above stop
+    top = int(untilted[::-1].argmin())  # the highest tilted row, if any
+    head = n.size if untilted[-1 - top] else 1 + top
+    p_radio, p_comp, p_total = np.zeros((3, n.size))
+    p_radio[0], p_comp[0], p_total[0] = _full_pool(m, k, a)
+    p_radio[1:head], p_comp[1:head] = _blocking(table, m, n[1:head])
+    p_total[1:head] = p_radio[1:head] + p_comp[1:head]
+    over = np.flatnonzero(p_total[:head] > stop)
+    rows = over[0] + 1 if over.size else head
+    while rows < n.size and not p_total[rows - 1] > stop:
+        row = int(n[rows])
+        read = _blocking(table, m, row) if untilted[row] else _tilted(m, k, a, row)
+        p_radio[rows], p_comp[rows] = read
+        p_total[rows] = p_radio[rows] + p_comp[rows]
+        rows += 1
     return n[:rows], p_radio[:rows], p_comp[:rows], p_total[:rows]
