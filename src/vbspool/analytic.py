@@ -200,13 +200,18 @@ def _blocking(table: RecursionTable, m: int, n):
 
 
 @functools.lru_cache(maxsize=1024)
-def _rung(k: int, a: float, j: int) -> tuple[float, float, np.ndarray]:
-    """(theta, mean occupancy of one VBS at theta, nonzero x**t) at rung
-    j >= 1, where theta = x a and x = 2**(-j/_RUNGS). The mean
-    theta (1 - B(K, theta)) is K theta / (K + theta B(K-1, theta))."""
+def _rung(k: int, a: float, j: int) -> tuple[float, float]:
+    """(theta, mean occupancy of one VBS at theta) at rung j >= 1, where
+    theta = x a and x = 2**(-j/_RUNGS). The mean theta (1 - B(K, theta))
+    is K theta / (K + theta B(K-1, theta))."""
     theta = a * 2.0 ** (-j / _RUNGS)
-    x_t = np.exp2(np.arange(1075 * _RUNGS // j) * (-j / _RUNGS))
-    return theta, k * theta / (k + theta * erlang_b(k - 1, theta)), x_t
+    return theta, k * theta / (k + theta * erlang_b(k - 1, theta))
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(j: int) -> np.ndarray:
+    """x**t = 2**(-j t/_RUNGS) at rung j for t = 0, 1, ... while nonzero."""
+    return np.exp2(np.arange(1075 * _RUNGS // j) * (-j / _RUNGS))
 
 
 def _nearest_rung(m: int, k: int, a: float, n: int) -> int:
@@ -227,8 +232,8 @@ def _tilted(m: int, k: int, a: float, n: int) -> tuple[float, float]:
     that cancels (Choudhury, Leung & Whitt, J. ACM 42(5), 1995). So with
     x = theta/a and D = sum_{i<=N} c(i, M) x**(N-i), p_comp = c(N, M) / D and
     p_radio = p_K sum_{i<N-K} c(i, M-1) x**(N-K-i) / D."""
-    theta, _, x_t = _rung(k, a, _nearest_rung(m, k, a, n))
-    table = get_table(k, theta)
+    j = _nearest_rung(m, k, a, n)
+    table, x_t = get_table(k, _rung(k, a, j)[0]), _powers(j)
 
     def tilted_sum(col: np.ndarray, top: int, e: int) -> float:
         # sum_{i<top} col[i] x**(e-i) over the nonzero powers
