@@ -118,7 +118,6 @@ class RecursionTable:
         self._pmf_span = j, np.ldexp(y, SPAN_SCALE)
         self._c: dict[int, np.ndarray] = {0: np.ones(1), 1: p}
         self._r: dict[int, np.ndarray] = {}
-        self._u: dict[int, np.ndarray] = {}
 
     def _column(self, m: int) -> np.ndarray:
         col = self._c.get(m)
@@ -156,15 +155,6 @@ class RecursionTable:
             below = self._r[m] = np.concatenate(([0.0], np.cumsum(self._column(m))))
         return below
 
-    def _untilted(self, m: int) -> np.ndarray:
-        """Whether each row N < m*K is untilted: whether r(N+1, m), and
-        r(N-K, m-1) for N > K, are at least _FLOOR. Kept per m."""
-        untilted = self._u.get(m)
-        if untilted is None:
-            untilted = self._u[m] = self._below(m)[1:-1] >= _FLOOR
-            untilted[self.k_radio + 1 :] &= self._below(m - 1)[1:-2] >= _FLOOR
-        return untilted
-
 
 @functools.lru_cache(maxsize=16)
 def get_table(k_radio: int, a: float) -> RecursionTable:
@@ -185,17 +175,20 @@ def _full_pool(m: int, k: int, a: float) -> tuple[float, float, float]:
 
 
 def _blocking(table: RecursionTable, m: int, n):
-    """(p_radio, p_comp) at untilted rows N = n below M*K (an int or an
-    int array): p_comp = c(N, M) / r(N+1, M) and
+    """(p_radio, p_comp) at N = n below M*K, for an int N or an int array
+    of untilted rows: p_comp = c(N, M) / r(N+1, M) and
     p_radio = p_K r(N-K, M-1) / r(N+1, M). For N <= K the radio index is
     0 and r(0, M-1) = 0, M = 1 included. An int N reads Python floats,
     whose arithmetic is quicker than numpy's on scalars and rounds the
-    same."""
+    same, and is read by _tilted where r(N+1, M), or r(N-K, M-1) with
+    N > K, is below _FLOOR."""
     k = table.k_radio
     p_k, level = table.poisson_pmf[k], table._column(m)[n]
     rest, denom = table._below(m - 1)[(n > k) * (n - k)], table._below(m)[n + 1]
     if not isinstance(n, np.ndarray):
         p_k, level, rest, denom = float(p_k), float(level), float(rest), float(denom)
+        if denom < _FLOOR or n > k and rest < _FLOOR:
+            return _tilted(m, k, table.a, n)
     return p_k * rest / denom, level / denom
 
 
@@ -249,43 +242,43 @@ def _tilted(m: int, k: int, a: float, n: int) -> tuple[float, float]:
 def compute_blocking(config: PoolConfig) -> BlockingReport:
     """Exact blocking probabilities for one (M, K, N, a) instance.
 
-    N = M*K is answered in closed form from Erlang-B, an untilted row
-    by _blocking, and a tilted one by _tilted.
+    N = M*K is answered in closed form from Erlang-B, every other N by
+    _blocking, which reads a tilted row by _tilted.
     """
     m, k, n, a = config.m_vbs, config.k_radio, config.n_comp, config.a
     if n == m * k:
         return BlockingReport(*_full_pool(m, k, a))
-    table = get_table(k, a)
-    untilted = table._untilted(m)[n]
-    p_radio, p_comp = _blocking(table, m, n) if untilted else _tilted(m, k, a, n)
+    p_radio, p_comp = _blocking(get_table(k, a), m, n)
     return BlockingReport(p_radio, p_comp, p_radio + p_comp)
 
 
 def blocking_curve(m: int, k: int, a: float, stop: float) -> tuple[np.ndarray, ...]:
     """Arrays (N, p_radio, p_comp, p_total) over N descending from M*K,
     row for row as compute_blocking: N = M*K in closed form, and every
-    other row by _blocking or _tilted. The rows end at the first N whose
+    other row by _blocking. The rows end at the first N whose
     p_total exceeds stop, that row included, or at N = 0, where
     p_comp = 1."""
     if m < 1:
         raise ValueError(f"pool size must be >= 1, got {m}")
-    n = np.arange(m * k, -1, -1)
+    nk = m * k
     table = get_table(k, a)
-    untilted = table._untilted(m)
-    # rows above the highest tilted one are read on arrays, the rest one
-    # at a time, down to the first row above stop
-    top = int(untilted[::-1].argmin())  # the highest tilted row, if any
-    head = n.size if untilted[-1 - top] else 1 + top
-    p_radio, p_comp, p_total = np.zeros((3, n.size))
-    p_radio[0], p_comp[0], p_total[0] = _full_pool(m, k, a)
-    p_radio[1:head], p_comp[1:head] = _blocking(table, m, n[1:head])
-    p_total[1:head] = p_radio[1:head] + p_comp[1:head]
-    over = np.flatnonzero(p_total[:head] > stop)
-    rows = over[0] + 1 if over.size else head
-    while rows < n.size and not p_total[rows - 1] > stop:
-        row = int(n[rows])
-        read = _blocking(table, m, row) if untilted[row] else _tilted(m, k, a, row)
-        p_radio[rows], p_comp[rows] = read
-        p_total[rows] = p_radio[rows] + p_comp[rows]
-        rows += 1
-    return n[:rows], p_radio[:rows], p_comp[:rows], p_total[:rows]
+    # top: the highest tilted row, where r(N+1, M), or r(N-K, M-1) with
+    # N > K, is below _FLOOR (both rise with N), or -1. The rows above it
+    # are read on arrays, the rest one at a time down to the first above
+    # stop, and the rows are held only as far as they are read
+    below, rest = table._below(m), table._below(m - 1)
+    i, j = np.searchsorted(below, _FLOOR), np.searchsorted(rest, _FLOOR)
+    top = int(max(i - 2, j + k - 1 if j > 1 else -1))
+    curve = np.zeros((3, nk - top))  # p_radio, p_comp, p_total
+    curve[:, 0] = _full_pool(m, k, a)
+    curve[:2, 1:] = _blocking(table, m, np.arange(nk - 1, top, -1))
+    curve[2, 1:] = curve[0, 1:] + curve[1, 1:]
+    over = np.flatnonzero(curve[2] > stop)
+    rows = over[0] + 1 if over.size else nk - top
+    if not over.size and top >= 0:
+        curve = np.hstack((curve, np.zeros((3, top + 1))))
+        while rows <= nk and not curve[2, rows - 1] > stop:
+            curve[:2, rows] = _blocking(table, m, nk - rows)
+            curve[2, rows] = curve[0, rows] + curve[1, rows]
+            rows += 1
+    return np.arange(nk, nk - rows, -1), *curve[:, :rows]
