@@ -273,9 +273,12 @@ def cmd_oracle(args) -> int:
     direct = blocking_direct(chain)
     recursive = compute_blocking(config)
     deviation = max(
-        abs(getattr(direct, p) - getattr(recursive, p))
-        / max(abs(getattr(direct, p)), 1e-300)
-        for p in ("p_radio", "p_comp", "p_total")
+        abs(exact - approx) / max(abs(exact), 1e-300)
+        for exact, approx in (
+            (direct.p_radio, recursive.p_radio),
+            (direct.p_comp, recursive.p_comp),
+            (direct.p_total, recursive.p_total),
+        )
     )
     if args.dump_edges:
         with open(args.dump_edges, "w") as f:

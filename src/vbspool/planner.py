@@ -86,16 +86,19 @@ def knee_point(sweep: SweepResult) -> int:
     """Largest N at which computational blocking first exceeds radio
     blocking when descending from M*K. When the sweep's rows hold no
     crossover, the curve is read on below them to the first N whose
-    p_total rounds to 1. There nearly every session is blocked, which
-    radio blocking cannot do with a c-server free, so p_comp leads; at
-    N = 0 p_comp is 1, so the read ends there at the latest."""
+    p_total exceeds 0.9, 0.99, ..., until the rows hold one. As p_total
+    rounds to 1 nearly every session is blocked, which radio blocking
+    cannot do with a c-server free, so p_comp leads; at N = 0 p_comp is
+    1, so the reads end there at the latest. The tilted rows below the
+    crossover are read one at a time, so the reads stop near it."""
     for pt in sweep.points:
         if pt.p_comp > pt.p_radio:
             return pt.n_comp
-    n, p_radio, p_comp, _ = blocking_curve(
-        sweep.m_vbs, sweep.k_radio, sweep.a, math.nextafter(1.0, 0.0)
-    )
-    return int(n[(p_comp > p_radio).argmax()])
+    m, k, a = sweep.m_vbs, sweep.k_radio, sweep.a
+    for digits in range(1, 17):  # the last stop is 1 - 1e-16 = nextafter(1, 0)
+        n, p_radio, p_comp, _ = blocking_curve(m, k, a, 1.0 - 10.0**-digits)
+        if (p_comp > p_radio).any():
+            return int(n[(p_comp > p_radio).argmax()])
 
 
 def _n_min(curve: tuple, p_threshold: float) -> int:
