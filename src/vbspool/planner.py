@@ -89,8 +89,8 @@ def knee_point(sweep: SweepResult) -> int:
     p_total exceeds 0.9, 0.99, ..., until the rows hold one. As p_total
     rounds to 1 nearly every session is blocked, which radio blocking
     cannot do with a c-server free, so p_comp leads; at N = 0 p_comp is
-    1, so the reads end there at the latest. The tilted rows below the
-    crossover are read one at a time, so the reads stop near it."""
+    1, so the reads end there at the latest. A read ends at its stop, so
+    the tilted rows far below a crossover are not read one at a time."""
     for pt in sweep.points:
         if pt.p_comp > pt.p_radio:
             return pt.n_comp
