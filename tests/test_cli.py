@@ -54,7 +54,7 @@ class TestBlocking:
 
     def test_underflow_exits_one(self, capsys):
         # r(N+1, M) underflows to 0 at the offered load, so the row is read
-        # at a tilted load: the exact p_comp 0.962583, not the placeholder 1
+        # at a tilted load, where the exact p_comp is 0.962583
         code, out, err = run(
             capsys, "blocking", "--m", "60", "--k", "28", "--n", "40", "--a", "17.8"
         )
